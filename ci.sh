@@ -6,7 +6,8 @@
 # mesh, scale, resil and impair smoke stages driving the fault, net,
 # backhaul, metro, control-plane and impairment benches under the
 # sanitizers (plus a full-size
-# bench_d1_fleet compare gate for the SoA service rewire), a TSan pass
+# bench_d1_fleet compare gate for the SoA service rewire, and a check
+# that bench_n1_traffic rejects out-of-range sizes with exit 2), a TSan pass
 # over the test suite for the health monitor's cross-thread record path,
 # and a docs stage (skipped with a notice when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
@@ -94,6 +95,23 @@ echo "=== Traffic smoke (net stack under ASan, JSON self-compare) ==="
   --flows 100 --packets 16 --warmup 0 --repeat 1 \
   --compare "${out_dir}/BENCH_n1_traffic.json" --threshold 1.0 > /dev/null
 echo "traffic smoke OK: ${out_dir}/BENCH_n1_traffic.json"
+
+echo "=== Traffic bad flags (rejected with exit 2, not an abort) ==="
+# Sizes below 1 once reached the layout and the SR session as negative
+# allocation sizes (exit 134) or a zero-reader fleet (exit 139). Under
+# the sanitizers any crash also surfaces as an exit code other than 2.
+for bad in packets:-5 flows:-3 tags:-1 readers:0; do
+  flag="--${bad%%:*}"
+  value="${bad#*:}"
+  rc=0
+  "${build_dir}/bench/bench_n1_traffic" "${flag}" "${value}" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: bench_n1_traffic ${flag} ${value} exited ${rc}, expected 2"
+    exit 1
+  fi
+done
+echo "traffic bad flags OK"
 
 echo "=== Mesh smoke (reader backhaul under ASan, JSON self-compare) ==="
 # The mesh bench self-checks backhaul-fingerprint determinism across
@@ -183,4 +201,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="
+echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, traffic bad flags, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="

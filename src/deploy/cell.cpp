@@ -133,29 +133,18 @@ CellEpochResult ReaderCell::run_epoch(
   std::bernoulli_distribution poll_success(
       config_.aloha.slot_success_probability);
 
-  // Per-tag retry state (fault path only): a per-destination failure
-  // ledger, earliest next attempt (exponential backoff), and an
-  // epoch-local quarantined flag mirroring the cross-epoch quarantine_
-  // map.
-  resil::RetryLedger retries;
+  // Per-tag retry state (fault path only): consecutive unanswered polls,
+  // earliest next attempt (exponential backoff), and an epoch-local
+  // quarantined flag mirroring the cross-epoch quarantine_ map.
+  std::vector<int> fails;
   std::vector<double> retry_at;
   std::vector<std::uint8_t> benched;
   if (faults != nullptr) {
-    retries = resil::RetryLedger(n);
+    fails.assign(n, 0);
     retry_at.assign(n, 0.0);
     benched.assign(n, 0);
   }
   const fault::RecoveryConfig& recovery = config_.recovery;
-  // Effective poll retry policy: fields the caller left at their inherit
-  // defaults fall back to the legacy RecoveryConfig constants, and the
-  // resulting delay ladder (ldexp(base, fails-1) == base * 2^(fails-1),
-  // exact in binary) keeps the frozen fleet fingerprints bit-identical.
-  resil::RetryPolicy poll_policy = config_.poll_retry;
-  if (!poll_policy.backs_off()) {
-    poll_policy.base_s = recovery.poll_backoff_base_s;
-  }
-  const int poll_budget =
-      poll_policy.effective_budget(recovery.poll_retry_budget);
 
   std::function<void()> run_polling = [&] {
     if (discovered.empty()) return;
@@ -234,7 +223,7 @@ CellEpochResult ReaderCell::run_epoch(
     }
     if (responded) {
       if (faults != nullptr) {
-        retries.reset(k);
+        fails[k] = 0;
         retry_at[k] = 0.0;
       }
       if (poll_success(rng)) {
@@ -243,16 +232,22 @@ CellEpochResult ReaderCell::run_epoch(
     } else {
       // No response: burn the timeout, back off exponentially, and after
       // the retry budget park the tag in quarantine so a dead link stops
-      // taxing everyone else's airtime.
+      // taxing everyone else's airtime. The original poll plus
+      // poll_retry_budget retries each burn one timeout before the
+      // sentence starts; ldexp keeps the doubling ladder exact in binary.
       ++result.polls_timed_out;
-      const int fails = retries.charge(k);
-      if (poll_budget > 0 && poll_policy.exhausted(fails - 1, poll_budget)) {
+      const int failed = ++fails[k];
+      if (recovery.poll_retry_budget > 0 &&
+          failed - 1 >= recovery.poll_retry_budget) {
         benched[k] = 1;
         quarantine_[service.tag_id] = recovery.quarantine_epochs;
         ++result.quarantines;
       } else {
-        retry_at[k] = queue.now() + cost_s +
-                      poll_policy.delay_s(fails, service.tag_id);
+        const double backoff_s =
+            recovery.poll_backoff_base_s > 0.0
+                ? std::ldexp(recovery.poll_backoff_base_s, failed - 1)
+                : 0.0;
+        retry_at[k] = queue.now() + cost_s + backoff_s;
       }
     }
     queue.schedule_in(cost_s, run_polling);

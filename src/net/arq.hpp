@@ -11,8 +11,6 @@
 
 #include <random>
 
-#include "src/resil/retry.hpp"
-
 namespace mmtag::net {
 
 struct ArqConfig {
@@ -26,12 +24,6 @@ struct ArqConfig {
   /// must not eat a frame retry — but an endless re-query loop against a
   /// blocked tag must still terminate.
   int max_requeries_per_frame = 8;
-  /// Shared retry policy (DESIGN.md Sec. 15). The attempt budget routes
-  /// through `retry.exhausted(attempt, max_attempts_per_frame)`, so the
-  /// default policy inherits max_attempts_per_frame unchanged; a session
-  /// with `retry.base_s > 0` additionally backs off before each
-  /// retransmission (event time only — never an extra RNG draw).
-  resil::RetryPolicy retry{};
 };
 
 struct ArqStats {

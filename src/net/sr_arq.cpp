@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "src/obs/metrics.hpp"
@@ -46,8 +47,8 @@ SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
 
 namespace {
 
-/// Transfer state threaded through the event chain (same lifetime idiom
-/// as arq_session.cpp: every scheduled event holds the shared_ptr).
+/// Transfer state threaded through the event chain: every scheduled event
+/// holds the shared_ptr, so the state lives until the last event fires.
 struct SrState {
   SrArqConfig config;
   SrArqTiming timing;
@@ -68,7 +69,6 @@ struct SrState {
   std::vector<int> attempts;
   std::vector<double> receive_time_s;   ///< Receiver-side delivery instant.
   std::vector<Packet> in_flight;        ///< Pool slot per sequence.
-  int ack_loss_streak = 0;  ///< Consecutive lost block-ACKs (backoff key).
   std::uniform_real_distribution<double> coin{0.0, 1.0};
 
   [[nodiscard]] bool sender_closed(int seq) const {
@@ -103,8 +103,7 @@ void reap_window(SrState& s) {
   for (int seq = s.base; seq < window_end; ++seq) {
     const auto u = static_cast<std::size_t>(seq);
     if (s.acked[u] == 0 && s.dropped[u] == 0 &&
-        s.config.retry.exhausted(s.attempts[u],
-                                 s.config.max_attempts_per_packet)) {
+        s.attempts[u] >= s.config.max_attempts_per_packet) {
       s.dropped[u] = 1;
       ++s.result.packets_dropped;
       arq_exhausted_sr_metric().add(1);
@@ -200,17 +199,12 @@ void round_step(const std::shared_ptr<SrState>& self) {
     if (st.coin(*st.rng) < st.config.ack_loss_probability) {
       // Lost block-ACK: the sender waits out its timer and replays the
       // whole outstanding window next round. No adapter feedback either —
-      // the sender learned nothing about delivery this round. A backing-
-      // off policy stretches the wait with the consecutive-loss streak
-      // (zero for the default policy — event times unchanged).
+      // the sender learned nothing about delivery this round.
       ++st.result.acks_lost;
-      const double backoff_s = st.config.retry.delay_s(
-          ++st.ack_loss_streak, static_cast<std::uint64_t>(round_base));
-      st.queue->schedule_in(st.timing.ack_timeout_s + backoff_s,
+      st.queue->schedule_in(st.timing.ack_timeout_s,
                             [self] { round_step(self); });
       return;
     }
-    st.ack_loss_streak = 0;
     ++st.result.acks_received;
     // Block-ACK keyed to the burst's base: cumulative semantics fall out
     // of base advancing past closed sequences; the bitmap reports every
@@ -243,7 +237,9 @@ void SrArqSession::start(mac::EventQueue& queue, int packet_count,
                          PacketPool* pool,
                          std::function<void(const SrArqResult&)> done,
                          AdaptFn adapt) {
-  assert(packet_count >= 0);
+  if (packet_count < 0) {
+    throw std::invalid_argument("SrArqSession: packet_count must be >= 0");
+  }
   assert(channel != nullptr);
   auto state = std::make_shared<SrState>();
   state->config = config_;

@@ -1,6 +1,6 @@
 // Sliding-window ARQ with selective repeat over the backscatter link.
 //
-// Stop-and-wait (arq_session.hpp) pays one feedback round-trip per frame;
+// Stop-and-wait (window = 1) pays one feedback round-trip per frame;
 // at gigabit chip rates the link idles while the reader acknowledges.
 // 802.11ad-style block transfer fixes that: the sender keeps a window of
 // packets in flight, the receiver returns ONE block-ACK per burst — a
@@ -30,7 +30,6 @@
 
 #include "src/mac/event_queue.hpp"
 #include "src/net/packet.hpp"
-#include "src/resil/retry.hpp"
 
 namespace mmtag::net {
 
@@ -48,12 +47,6 @@ struct SrArqConfig {
   double ack_loss_probability = 0.01;
   /// Application payload bytes per packet (pool-backed sessions).
   std::size_t payload_bytes = 32;
-  /// Shared retry policy (DESIGN.md Sec. 15). The per-packet budget routes
-  /// through `retry.exhausted(attempts, max_attempts_per_packet)` — the
-  /// default policy inherits max_attempts_per_packet unchanged. With
-  /// `retry.base_s > 0` the sender also backs off after consecutive lost
-  /// block-ACKs (adds to the timer wait; never an extra RNG draw).
-  resil::RetryPolicy retry{};
 };
 
 struct SrArqTiming {
@@ -78,8 +71,6 @@ struct SrArqResult {
   /// Wall-clock consumed. Exact by construction:
   ///   transmissions * packet_time + acks_received * ack_time
   ///   + (acks_lost + pool_waits) * ack_timeout.
-  /// A backing-off retry policy (config.retry.base_s > 0) adds its delay
-  /// ladder after consecutive lost ACKs on top of the three terms.
   double elapsed_s = 0.0;
   /// Receive instant of every delivered packet relative to session start,
   /// ascending sequence order.
@@ -131,7 +122,8 @@ class SrArqSession {
   /// Event-driven form: schedule the transfer on `queue` starting at the
   /// current queue time; `done` fires at the completion instant. `rng`,
   /// `channel` and `pool` must outlive the transfer. Multiple sessions may
-  /// interleave on one queue.
+  /// interleave on one queue. Throws std::invalid_argument (in every build
+  /// type) when `packet_count` is negative; every form routes through here.
   void start(mac::EventQueue& queue, int packet_count, ChannelFn channel,
              std::mt19937_64& rng, PacketPool* pool,
              std::function<void(const SrArqResult&)> done,

@@ -1,13 +1,16 @@
 // Fleet simulator (src/deploy): layout determinism, end-to-end service,
-// thread-count invariance of the aggregates, mobility/handoff, and the
-// cache's raytrace savings on static scenarios.
+// thread-count invariance of the aggregates, mobility/handoff, the
+// cache's raytrace savings on static scenarios, and one cell's poll retry
+// ladder and quarantine sentence.
 #include "src/deploy/fleet.hpp"
 
 #include <gtest/gtest.h>
 
+#include "src/deploy/cell.hpp"
 #include "src/deploy/layout.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/sim/parallel.hpp"
+#include "src/sim/rng.hpp"
 
 namespace mmtag::deploy {
 namespace {
@@ -238,6 +241,77 @@ TEST(FleetFaults, FaultedAggregatesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(fault_fp, fault_ref) << "threads=" << threads;
     }
   }
+}
+
+TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
+  // Two tags share one beam a metre from the reader; the second sits
+  // behind a blockage that swallows every poll. The cell's retry ladder must burn
+  // the original poll plus poll_retry_budget retries, then bench the tag
+  // for exactly quarantine_epochs epochs.
+  const channel::Environment env;
+  const phy::RateTable rates = phy::RateTable::mmtag_standard();
+  CellConfig config;
+  config.recovery.poll_retry_budget = 2;
+  config.recovery.quarantine_epochs = 2;
+  ReaderCell cell(
+      0, reader::MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0}),
+      &env, &rates, config);
+  const std::vector<core::MmTag> tags = {
+      core::MmTag::prototype_at(core::Pose{{1.0, 0.0}, 3.14159}, 1),
+      core::MmTag::prototype_at(core::Pose{{1.0, 0.05}, 3.14159}, 2)};
+  const std::vector<std::size_t> roster = {0, 1};
+  const std::vector<std::uint8_t> brownout(2, 0);
+  const std::vector<double> loss_db(2, 0.0);
+  const std::vector<std::uint8_t> blocked = {0, 1};
+  CellFaultContext faults;
+  faults.tag_brownout = &brownout;
+  faults.tag_loss_db = &loss_db;
+  faults.tag_blocked = &blocked;
+  faults.block_probability = 1.0;
+  auto rng = sim::make_rng(2024);
+  int epoch = 0;
+  const auto run = [&] {
+    const double start_s = 0.02 * epoch++;
+    return cell.run_epoch(tags, roster, CellPlan{}, start_s, 0.02, rng,
+                          &faults);
+  };
+  const long burn = 1 + config.recovery.poll_retry_budget;
+
+  const CellEpochResult first = run();
+  EXPECT_EQ(first.polls_timed_out, burn);
+  EXPECT_EQ(first.quarantines, 1);
+  EXPECT_EQ(first.service[1].polls, burn);
+  EXPECT_GT(first.service[0].delivered_bits, 0.0);  // Neighbour unharmed.
+
+  // Two epochs of sentence: the tag is neither discovered nor polled.
+  for (int sitting = 0; sitting < config.recovery.quarantine_epochs;
+       ++sitting) {
+    const CellEpochResult benched = run();
+    EXPECT_EQ(benched.polls_timed_out, 0) << "sitting=" << sitting;
+    EXPECT_EQ(benched.quarantines, 0) << "sitting=" << sitting;
+    EXPECT_FALSE(benched.service[1].read) << "sitting=" << sitting;
+    EXPECT_EQ(benched.service[1].polls, 0) << "sitting=" << sitting;
+  }
+
+  // Sentence served: retried, still dark, quarantined again.
+  const CellEpochResult retried = run();
+  EXPECT_TRUE(retried.service[1].read);
+  EXPECT_EQ(retried.polls_timed_out, burn);
+  EXPECT_EQ(retried.quarantines, 1);
+
+  // A reader restart clears the sentence: retried in the very next epoch.
+  (void)cell.on_reader_restarted();
+  const CellEpochResult restarted = run();
+  EXPECT_EQ(restarted.polls_timed_out, burn);
+  EXPECT_EQ(restarted.quarantines, 1);
+
+  // A flaky tag that answers in between failures restarts its count each
+  // time, so it burns more timeouts than one budget before its sentence.
+  (void)cell.on_reader_restarted();
+  faults.block_probability = 0.5;
+  const CellEpochResult flaky = run();
+  EXPECT_GT(flaky.polls_timed_out, burn);
+  EXPECT_GT(flaky.service[1].delivered_bits, 0.0);
 }
 
 }  // namespace

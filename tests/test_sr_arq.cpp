@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "src/mac/event_queue.hpp"
 #include "src/net/packet.hpp"
@@ -153,6 +154,20 @@ TEST(SrArq, ZeroPacketsFinishImmediately) {
   EXPECT_EQ(result.packets_offered, 0);
   EXPECT_EQ(result.rounds, 0);
   EXPECT_EQ(result.elapsed_s, 0.0);
+}
+
+TEST(SrArq, NegativePacketCountIsRejectedInEveryBuildType) {
+  // Used to be an assert: Release builds went on to size the per-packet
+  // state from a negative count and aborted in the allocator.
+  SrArqSession session(clean_config(8), {});
+  std::mt19937_64 rng = sim::make_rng(1);
+  EXPECT_THROW((void)session.run(-5, 1.0, rng), std::invalid_argument);
+  mac::EventQueue queue;
+  EXPECT_THROW(session.start(
+                   queue, -1, [](double) { return 1.0; }, rng, nullptr,
+                   [](const SrArqResult&) {}),
+               std::invalid_argument);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(SrArq, AdapterRetunesTimingBetweenRounds) {
