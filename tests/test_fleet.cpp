@@ -1,7 +1,8 @@
 // Fleet simulator (src/deploy): layout determinism, end-to-end service,
 // thread-count invariance of the aggregates, mobility/handoff, the
-// cache's raytrace savings on static scenarios, and one cell's poll retry
-// ladder and quarantine sentence.
+// cache's raytrace savings on static scenarios, the frozen fingerprints of
+// bench_d1_fleet's small configs, and one cell's poll retry ladder and
+// quarantine sentence.
 #include "src/deploy/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -241,6 +242,67 @@ TEST(FleetFaults, FaultedAggregatesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(fault_fp, fault_ref) << "threads=" << threads;
     }
   }
+}
+
+// bench_d1_fleet's small configs: 4 readers in an 8 x 8 m room, seed 1,
+// 0.4 s epochs unless overridden.
+FleetConfig d1_fleet(int tags, int epochs) {
+  FleetConfig config;
+  config.layout.width_m = 8.0;
+  config.layout.height_m = 8.0;
+  config.layout.readers = 4;
+  config.layout.tags = tags;
+  config.layout.seed = 1;
+  config.epochs = epochs;
+  config.epoch_duration_s = 0.4;
+  config.seed = 1;
+  return config;
+}
+
+TEST(FleetSimulator, FrozenFingerprintsAreBitIdentical) {
+  // `bench_d1_fleet --readers 4 --tags 100 --epochs 4` headline.
+  EXPECT_EQ(fingerprint(FleetSimulator(d1_fleet(100, 4)).run().stats),
+            0x003da708a3c87b83ULL);
+
+  // bench_d1_fleet's cache_vs_uncached scenario, both arms.
+  FleetConfig cached = d1_fleet(400, 2);
+  cached.epoch_duration_s = 0.05;
+  cached.coordination.policy = CoordinationPolicy::kChannelized;
+  FleetConfig uncached = cached;
+  uncached.use_link_cache = false;
+  EXPECT_EQ(fingerprint(FleetSimulator(cached).run().stats),
+            0x6deea61e00021d7cULL);
+  EXPECT_EQ(fingerprint(FleetSimulator(uncached).run().stats),
+            0x6deea61e00021d7cULL);
+
+  // Mobility: tags move and hand off between cells every epoch.
+  FleetConfig mobile = small_fleet();
+  mobile.epochs = 4;
+  mobile.mobile_fraction = 0.5;
+  mobile.mobile_speed_mps = 10.0;
+  EXPECT_EQ(fingerprint(FleetSimulator(mobile).run().stats),
+            0xcd8b75bfd6a9dee2ULL);
+
+  // Chaos: outages, brownouts, stuck switches, blockage and drift.
+  FleetConfig chaos = small_fleet();
+  chaos.epochs = 3;
+  chaos.faults = fault::FaultSchedule::chaos(0.7);
+  const FleetResult faulted = FleetSimulator(chaos).run();
+  EXPECT_EQ(fingerprint(faulted.stats), 0xc7fcf3f57d474120ULL);
+  EXPECT_EQ(fault::fingerprint(faulted.fault), 0xe0fa47d012560948ULL);
+
+  // Scripted outage of readers 0-2 over epochs 1-2: their restart in
+  // epoch 3 invalidates the restarted cells' link caches.
+  FleetConfig restart = small_fleet();
+  restart.epochs = 4;
+  for (const int r : {0, 1, 2}) {
+    restart.faults.outages.scripted.push_back(
+        fault::ScriptedOutage{r, 0.02, 0.04});
+  }
+  const FleetResult restarted = FleetSimulator(restart).run();
+  EXPECT_GT(restarted.fault.cache_evictions, 0u);
+  EXPECT_EQ(fingerprint(restarted.stats), 0x0ddfca73fa193da5ULL);
+  EXPECT_EQ(fault::fingerprint(restarted.fault), 0xab25fcdd86bc0c50ULL);
 }
 
 TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
