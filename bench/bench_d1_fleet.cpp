@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
   int epochs = 3;
   bench::Parser parser("d1_fleet",
                        "fleet-scale inventory: determinism, cache, scaling");
-  parser.add_int("--readers", &readers, "reader count for the headline run");
-  parser.add_int("--tags", &tags, "tag count for the headline run");
-  parser.add_int("--epochs", &epochs, "epochs per fleet run");
+  parser.add_count("--readers", &readers, "reader count for the headline run");
+  parser.add_count("--tags", &tags, "tag count for the headline run");
+  parser.add_count("--epochs", &epochs, "epochs per fleet run");
   std::string kern_name;
   bench::add_kern_flag(parser, &kern_name);
   if (!parser.parse(argc, argv)) return parser.exit_code();

@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
   bench::Parser parser("d2_chaos",
                        "fleet under fault injection: determinism, recovery, "
                        "intensity sweep");
-  parser.add_int("--readers", &readers, "reader count");
-  parser.add_int("--tags", &tags, "tag count");
-  parser.add_int("--epochs", &epochs, "epochs per fleet run");
+  parser.add_count("--readers", &readers, "reader count");
+  parser.add_count("--tags", &tags, "tag count");
+  parser.add_count("--epochs", &epochs, "epochs per fleet run");
   if (!parser.parse(argc, argv)) return parser.exit_code();
   bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;

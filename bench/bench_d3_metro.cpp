@@ -62,11 +62,11 @@ int main(int argc, char** argv) {
   bench::Parser parser("d3_metro",
                        "metro-scale world: determinism, index margin, "
                        "tag scaling");
-  parser.add_int("--tags", &tags, "tag count for the determinism sweep");
-  parser.add_int("--margin-tags", &margin_tags,
+  parser.add_count("--tags", &tags, "tag count for the determinism sweep");
+  parser.add_count("--margin-tags", &margin_tags,
                  "tag count for the index-vs-linear margin check");
-  parser.add_int("--epochs", &epochs, "epochs per world run");
-  parser.add_int("--grid", &grid, "reader grid side (G x G readers)");
+  parser.add_count("--epochs", &epochs, "epochs per world run");
+  parser.add_count("--grid", &grid, "reader grid side (G x G readers)");
   std::string kern_name;
   bench::add_kern_flag(parser, &kern_name);
   if (!parser.parse(argc, argv)) return parser.exit_code();

@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
   bench::Parser parser("m1_mesh",
                        "reader-backhaul mesh: determinism, failover margin, "
                        "topology sweep under chaos outages");
-  parser.add_int("--readers", &readers, "reader count");
-  parser.add_int("--tags", &tags, "tag count");
-  parser.add_int("--epochs", &epochs, "epochs per run");
+  parser.add_count("--readers", &readers, "reader count");
+  parser.add_count("--tags", &tags, "tag count");
+  parser.add_count("--epochs", &epochs, "epochs per run");
   if (!parser.parse(argc, argv)) return parser.exit_code();
   bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;

@@ -78,22 +78,11 @@ int main(int argc, char** argv) {
   bench::Parser parser("n1_traffic",
                        "iperf-style flows over the fleet: determinism, "
                        "SR vs stop-and-wait, rate adaptation");
-  parser.add_int("--readers", &readers, "reader count");
-  parser.add_int("--tags", &tags, "tag count");
-  parser.add_int("--flows", &flows, "concurrent flows");
-  parser.add_int("--packets", &packets, "packets per flow");
+  parser.add_count("--readers", &readers, "reader count");
+  parser.add_count("--tags", &tags, "tag count");
+  parser.add_count("--flows", &flows, "concurrent flows");
+  parser.add_count("--packets", &packets, "packets per flow");
   if (!parser.parse(argc, argv)) return parser.exit_code();
-  // Sizes below 1 would reach the layout and the SR session as negative
-  // allocation sizes (an abort) or a zero-reader fleet (a crash).
-  for (const auto& [name, value] :
-       {std::pair{"--readers", readers}, std::pair{"--tags", tags},
-        std::pair{"--flows", flows}, std::pair{"--packets", packets}}) {
-    if (value < 1) {
-      std::fprintf(stderr, "error: option '%s' must be >= 1, got %d\n", name,
-                   value);
-      return 2;
-    }
-  }
   bench::Harness harness(parser.options());
   const std::uint64_t seed = parser.options().seed;
   bool fail = false;

@@ -1,9 +1,8 @@
 // Resilience R1: the control plane under fire (DESIGN.md Sec. 15).
 //
-// PR 9's tentpole is a deterministic resilience control plane: phi-accrual
-// failure detection from observed outcomes only, shared retry/backoff
-// policies, circuit breakers, admission control, and degraded-mode service
-// under grid-correlated outage domains. This bench hard-gates its four
+// The resilience control plane is deterministic: phi-accrual failure
+// detection from observed outcomes only, and degraded-mode service under
+// grid-correlated outage domains. This bench hard-gates its four
 // load-bearing claims:
 //   1. control-plane determinism — a metro run with a scripted outage
 //      domain AND the monitor steering service produces bit-identical
@@ -108,12 +107,12 @@ int main(int argc, char** argv) {
   bench::Parser parser("r1_resil",
                        "resilience control plane: determinism, detection "
                        "lag, degraded-mode margin, legacy identity");
-  parser.add_int("--readers", &readers, "fleet reader count");
-  parser.add_int("--tags", &tags, "fleet tag count");
-  parser.add_int("--epochs", &fleet_epochs, "fleet epochs (detection lag)");
-  parser.add_int("--metro-tags", &metro_tags, "metro tag count");
-  parser.add_int("--metro-epochs", &metro_epochs, "metro epochs");
-  parser.add_int("--grid", &grid, "metro reader grid side (G x G)");
+  parser.add_count("--readers", &readers, "fleet reader count");
+  parser.add_count("--tags", &tags, "fleet tag count");
+  parser.add_count("--epochs", &fleet_epochs, "fleet epochs (detection lag)");
+  parser.add_count("--metro-tags", &metro_tags, "metro tag count");
+  parser.add_count("--metro-epochs", &metro_epochs, "metro epochs");
+  parser.add_count("--grid", &grid, "metro reader grid side (G x G)");
   parser.add_double("--margin", &margin,
                     "required on/off delivered-bits ratio");
   if (!parser.parse(argc, argv)) return parser.exit_code();

@@ -96,22 +96,35 @@ echo "=== Traffic smoke (net stack under ASan, JSON self-compare) ==="
   --compare "${out_dir}/BENCH_n1_traffic.json" --threshold 1.0 > /dev/null
 echo "traffic smoke OK: ${out_dir}/BENCH_n1_traffic.json"
 
-echo "=== Traffic bad flags (rejected with exit 2, not an abort) ==="
-# Sizes below 1 once reached the layout and the SR session as negative
-# allocation sizes (exit 134) or a zero-reader fleet (exit 139). Under
-# the sanitizers any crash also surfaces as an exit code other than 2.
-for bad in packets:-5 flows:-3 tags:-1 readers:0; do
-  flag="--${bad%%:*}"
-  value="${bad#*:}"
+echo "=== Bench bad counts (rejected with exit 2, not an abort) ==="
+# Counts below 1 once reached the layout, the SR session or the metro grid
+# as negative allocation sizes (exit 134), a zero-reader fleet (exit 139),
+# a division by zero (exit 136) or silent nan tables (exit 0). Every count
+# flag is registered with bench::Parser::add_count, which rejects them
+# through the parser's bad-value path. Under the sanitizers any crash also
+# surfaces as an exit code other than 2.
+for bad in n1_traffic:packets:-5 n1_traffic:flows:-3 n1_traffic:tags:-1 \
+    d1_fleet:readers:0 d1_fleet:tags:0 d1_fleet:epochs:0 \
+    d2_chaos:readers:0 d2_chaos:tags:0 d2_chaos:epochs:0 \
+    d3_metro:tags:0 d3_metro:margin-tags:0 d3_metro:epochs:0 d3_metro:grid:0 \
+    m1_mesh:readers:0 m1_mesh:tags:0 m1_mesh:epochs:0 \
+    n1_traffic:readers:0 n1_traffic:tags:0 n1_traffic:flows:0 \
+    n1_traffic:packets:0 \
+    r1_resil:readers:0 r1_resil:tags:0 r1_resil:epochs:0 \
+    r1_resil:metro-tags:0 r1_resil:metro-epochs:0 r1_resil:grid:0; do
+  bench="${bad%%:*}"
+  rest="${bad#*:}"
+  flag="--${rest%%:*}"
+  value="${rest#*:}"
   rc=0
-  "${build_dir}/bench/bench_n1_traffic" "${flag}" "${value}" \
+  "${build_dir}/bench/bench_${bench}" "${flag}" "${value}" \
     > /dev/null 2>&1 || rc=$?
   if [ "${rc}" -ne 2 ]; then
-    echo "FAIL: bench_n1_traffic ${flag} ${value} exited ${rc}, expected 2"
+    echo "FAIL: bench_${bench} ${flag} ${value} exited ${rc}, expected 2"
     exit 1
   fi
 done
-echo "traffic bad flags OK"
+echo "bench bad counts OK"
 
 echo "=== Mesh smoke (reader backhaul under ASan, JSON self-compare) ==="
 # The mesh bench self-checks backhaul-fingerprint determinism across
@@ -138,9 +151,9 @@ echo "=== Scale smoke (metro world under ASan, JSON self-compare) ==="
 "${build_dir}/bench/bench_d3_metro" --csv --tags 50000 --margin-tags 50000 \
   --epochs 2 --warmup 0 --repeat 1 \
   --compare "${out_dir}/BENCH_d3_metro.json" --threshold 1.0 > /dev/null
-# The fleet now accumulates per-tag service through the SoA bridge
-# (scale::FleetTagBridge); gate the full 16-reader / 2000-tag baseline
-# through the compare pipeline to prove the rewire regressed nothing.
+# The fleet accumulates per-tag service straight into its returned
+# vector<TagService>; gate the full 16-reader / 2000-tag baseline through
+# the compare pipeline as well.
 "${bench_dir}/bench_d1_fleet" --csv --warmup 0 --repeat 1 \
   --json "${out_dir}/BENCH_d1_fleet_baseline.json" > /dev/null
 "${bench_dir}/bench_d1_fleet" --csv --warmup 0 --repeat 1 \
@@ -201,4 +214,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, traffic bad flags, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="
+echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, bench bad counts, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="

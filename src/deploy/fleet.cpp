@@ -13,7 +13,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/phys/constants.hpp"
-#include "src/scale/bridge.hpp"
 #include "src/sim/rng.hpp"
 
 namespace mmtag::deploy {
@@ -161,11 +160,11 @@ FleetResult FleetSimulator::run() {
   // inventory this epoch. Identical to `live` without a mesh hook.
   std::vector<std::uint8_t> serviceable(m, 1);
 
-  // Per-tag service state lives in SoA columns (scale::TagStore) behind
-  // the compatibility bridge; accumulation order and arithmetic match the
-  // historical vector<TagService> merge exactly, so every pinned
-  // fingerprint is preserved.
-  scale::FleetTagBridge bridge(layout.tags);
+  FleetResult result;
+  result.service.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    result.service[t].tag_id = layout.tags[t].id();
+  }
   std::vector<CellEpochResult> epoch_results(m);
   int handoffs = 0;
   double utilization_sum = 0.0;
@@ -179,8 +178,7 @@ FleetResult FleetSimulator::run() {
       const fault::EpochFaults& ef = engine->begin_epoch(e);
       for (std::size_t r = 0; r < m; ++r) {
         live[r] = ef.reader_up[r] > 0.0 ? 1 : 0;
-        if (ef.reader_restarted[r] != 0 &&
-            config_.recovery.invalidate_cache_on_restart) {
+        if (ef.reader_restarted[r] != 0) {  // Re-calibrated: drop link state.
           report.cache_evictions += cells[r].on_reader_restarted();
         }
         // Budget left after the outage and the drift guard time, as a
@@ -253,8 +251,14 @@ FleetResult FleetSimulator::run() {
       const CellEpochResult& cell = epoch_results[c];
       for (std::size_t k = 0; k < rosters[c].size(); ++k) {
         const TagService& seen = cell.service[k];
-        bridge.accumulate(rosters[c][k], seen.read, seen.first_read_s,
-                          seen.delivered_bits, seen.polls);
+        TagService& merged = result.service[rosters[c][k]];
+        merged.delivered_bits += seen.delivered_bits;
+        merged.polls += seen.polls;
+        if (seen.read) {
+          merged.read = true;
+          merged.first_read_s =
+              std::min(merged.first_read_s, seen.first_read_s);
+        }
       }
       utilization_sum += cell.airtime_s / config_.epoch_duration_s;
       reads_total += static_cast<std::uint64_t>(cell.tags_discovered);
@@ -288,7 +292,6 @@ FleetResult FleetSimulator::run() {
         layout.tags[t].set_pose(core::Pose{
             pos, channel::bearing_rad(
                      pos, layout.reader_poses[owner].position)});
-        bridge.on_tag_moved(t, layout.tags[t].pose());
         for (ReaderCell& cell : cells) {
           cell.on_tag_moved(layout.tags[t].id());
         }
@@ -300,13 +303,8 @@ FleetResult FleetSimulator::run() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  FleetResult result;
   const double duration_s = config_.epochs * config_.epoch_duration_s;
-  const scale::TagStore& store = bridge.store();
-  result.stats = summarize_service(
-      ServiceColumns{store.slots(), store.read_flags(), store.first_read_s(),
-                     store.delivered_bits()},
-      duration_s);
+  result.stats = summarize_service(result.service, duration_s);
   result.stats.readers = static_cast<int>(m);
   result.stats.handoffs = handoffs;
   result.stats.reader_utilization =
@@ -320,10 +318,10 @@ FleetResult FleetSimulator::run() {
   if constexpr (obs::kObsEnabled) {
     tags_read_metric().add(reads_total);
     handoffs_metric().add(static_cast<std::uint64_t>(handoffs));
-    for (std::size_t t = 0; t < store.slots(); ++t) {
-      if (store.read_flags()[t] != 0) {
+    for (const TagService& tag : result.service) {
+      if (tag.read) {
         first_read_us_metric().record(
-            static_cast<std::uint64_t>(store.first_read_s()[t] * 1e6));
+            static_cast<std::uint64_t>(tag.first_read_s * 1e6));
       }
     }
   }
@@ -359,17 +357,6 @@ FleetResult FleetSimulator::run() {
     record_fault_metrics(report, recoveries, config_.epoch_duration_s);
   }
   result.fault = report;
-  // Materialize the AoS service export (mesh/net consumers) once, from
-  // the columns — the only per-tag record construction in the run.
-  result.service.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    TagService& tag = result.service[t];
-    tag.tag_id = store.ids()[t];
-    tag.read = store.read_flags()[t] != 0;
-    tag.first_read_s = store.first_read_s()[t];
-    tag.delivered_bits = store.delivered_bits()[t];
-    tag.polls = store.polls()[t];
-  }
   result.last_epoch = std::move(epoch_results);
   result.plans = plans;
   result.sweep.points = m * static_cast<std::size_t>(config_.epochs);

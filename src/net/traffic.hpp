@@ -28,7 +28,6 @@
 #include "src/fault/schedule.hpp"
 #include "src/net/rate_control.hpp"
 #include "src/net/sr_arq.hpp"
-#include "src/resil/admission.hpp"
 #include "src/sim/parallel.hpp"
 #include "src/sim/table.hpp"
 
@@ -73,15 +72,6 @@ struct TrafficConfig {
   /// Buffer slots backing each flow's in-flight window; fewer slots than
   /// the window throttles it (pool backpressure).
   std::size_t pool_packets = 48;
-  /// Watermark admission control (DESIGN.md Sec. 15): when the projected
-  /// buffer demand of all flows — min(window, pool_packets) slots each —
-  /// would push the configured packet budget past the high watermark, the
-  /// lowest-priority flows (class = flow % priority_classes, highest
-  /// class index first) are shed down to the low watermark BEFORE they
-  /// contend for airtime, and surface in flows_shed plus the
-  /// `resil.shed.*` obs counters. Disabled by default: every report is
-  /// then bit-identical to the pre-admission engine.
-  resil::AdmissionConfig admission{};
   std::uint64_t seed = 1;
   /// Worker threads (<= 0 selects sim::default_thread_count()).
   int threads = 0;
@@ -98,15 +88,12 @@ struct FlowResult {
   int rate_switches = 0;
   SrArqResult arq;
   double goodput_bps = 0.0;
-  /// Load-shed by admission control before transmitting anything.
-  bool shed = false;
 };
 
 /// Aggregate report, merged in flow order.
 struct TrafficReport {
   int flows_offered = 0;
-  int flows_admitted = 0;  ///< Mapped to a discovered tag and not shed.
-  int flows_shed = 0;      ///< Load-shed by admission control.
+  int flows_admitted = 0;  ///< Mapped to a discovered tag.
   int flows_served = 0;    ///< Delivered at least one packet.
   double discovery_coverage = 1.0;
   long packets_offered = 0;

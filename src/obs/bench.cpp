@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <ctime>
 #include <cstdlib>
@@ -93,6 +94,9 @@ void Parser::add_flag(const char* name, bool* target, const char* help) {
 void Parser::add_int(const char* name, int* target, const char* help) {
   specs_.push_back(Spec{name, Kind::kInt, target, help});
 }
+void Parser::add_count(const char* name, int* target, const char* help) {
+  specs_.push_back(Spec{name, Kind::kCount, target, help});
+}
 void Parser::add_uint64(const char* name, std::uint64_t* target,
                         const char* help) {
   specs_.push_back(Spec{name, Kind::kUint64, target, help});
@@ -126,9 +130,13 @@ bool Parser::apply(const Spec& spec, const char* value) {
     case Kind::kFlag:
       *static_cast<bool*>(spec.target) = true;
       return true;
-    case Kind::kInt: {
+    case Kind::kInt:
+    case Kind::kCount: {
       const long parsed = std::strtol(value, &end, 10);
       if (end == value || *end != '\0') return false;
+      if (spec.kind == Kind::kCount && (parsed < 1 || parsed > INT_MAX)) {
+        return false;
+      }
       *static_cast<int*>(spec.target) = static_cast<int>(parsed);
       return true;
     }

@@ -63,6 +63,9 @@ class Parser {
   /// must outlive parse().
   void add_flag(const char* name, bool* target, const char* help);
   void add_int(const char* name, int* target, const char* help);
+  /// An int that must be >= 1 (a size or a count); smaller values are a
+  /// "bad value" error like a malformed one.
+  void add_count(const char* name, int* target, const char* help);
   void add_uint64(const char* name, std::uint64_t* target, const char* help);
   void add_double(const char* name, double* target, const char* help);
   void add_string(const char* name, std::string* target, const char* help);
@@ -76,7 +79,7 @@ class Parser {
   [[nodiscard]] bool csv() const { return options_.csv; }
 
  private:
-  enum class Kind { kFlag, kInt, kUint64, kDouble, kString };
+  enum class Kind { kFlag, kInt, kCount, kUint64, kDouble, kString };
   struct Spec {
     std::string name;
     Kind kind;

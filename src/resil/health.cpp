@@ -47,37 +47,35 @@ void HealthMonitor::end_epoch() {
   suspected_count_ = 0;
   for (std::size_t e = 0; e < state_.size(); ++e) {
     Accumulator& a = accum_[e];
-    const std::uint64_t attempts =
-        a.attempts.exchange(0, std::memory_order_relaxed);
+    // Attempts only matter through their successes: silence and zero
+    // successes against nonzero attempts are both a miss.
+    a.attempts.store(0, std::memory_order_relaxed);
     const std::uint64_t successes =
         a.successes.exchange(0, std::memory_order_relaxed);
     EntityState& s = state_[e];
 
-    const bool evidence = attempts > 0 || config_.silence_is_miss;
-    if (evidence) {
-      const bool miss = successes == 0;
-      if (miss) {
-        // Suspicion accrues against the *pre-miss* healthy model: the
-        // clamped EWMA is read first, so a clean-history entity pays the
-        // full floor improbability (>= 1.3 decades) on its first miss.
-        const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
-                                    config_.max_miss_probability);
-        const double per_miss = -std::log10(p);
-        ++s.miss_streak;
-        s.phi = static_cast<double>(s.miss_streak) * per_miss;
-        // Only the streak's first miss is healthy-model evidence; the
-        // rest is the failure in progress, which must not teach the
-        // detector that being down is normal.
-        if (!s.last_was_miss) {
-          s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
-        }
-        s.last_was_miss = true;
-      } else {
-        s.ewma_miss *= 1.0 - config_.ewma_alpha;
-        s.miss_streak = 0;
-        s.phi = 0.0;
-        s.last_was_miss = false;
+    const bool miss = successes == 0;
+    if (miss) {
+      // Suspicion accrues against the *pre-miss* healthy model: the
+      // clamped EWMA is read first, so a clean-history entity pays the
+      // full floor improbability (>= 1.3 decades) on its first miss.
+      const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
+                                  config_.max_miss_probability);
+      const double per_miss = -std::log10(p);
+      ++s.miss_streak;
+      s.phi = static_cast<double>(s.miss_streak) * per_miss;
+      // Only the streak's first miss is healthy-model evidence; the
+      // rest is the failure in progress, which must not teach the
+      // detector that being down is normal.
+      if (!s.last_was_miss) {
+        s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
       }
+      s.last_was_miss = true;
+    } else {
+      s.ewma_miss *= 1.0 - config_.ewma_alpha;
+      s.miss_streak = 0;
+      s.phi = 0.0;
+      s.last_was_miss = false;
     }
 
     const bool suspect = s.phi >= config_.phi_suspect;

@@ -55,9 +55,6 @@ struct HealthConfig {
   /// one serving epoch; a success clears suspicion, silence re-confirms
   /// it). Must be >= 1.
   int probe_interval_epochs = 2;
-  /// When true (default) an epoch with zero recorded attempts counts as a
-  /// miss — the right reading for entities that are polled every epoch.
-  bool silence_is_miss = true;
 };
 
 class HealthMonitor {

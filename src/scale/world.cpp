@@ -278,8 +278,8 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
 
   // Feed the monitor what a metro coordinator actually observes: each
   // reader's per-epoch report. A reader whose shard did not run reports
-  // nothing — zero attempts — which HealthConfig::silence_is_miss turns
-  // into the miss evidence suspicion accrues on. Serial, post-merge, on
+  // nothing — zero successes — which is the miss evidence suspicion
+  // accrues on. Serial, post-merge, on
   // the coordinating thread; end_epoch() draws the next epoch's serve
   // decisions in fixed reader order.
   if (monitor_) {

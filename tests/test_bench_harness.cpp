@@ -103,6 +103,24 @@ TEST(Parser, BenchSpecificExtrasParse) {
   EXPECT_TRUE(fast);
 }
 
+TEST(Parser, CountBelowOneFailsWithExitCode2) {
+  for (const char* bad : {"0", "-5", "3000000000"}) {
+    Parser parser("unit");
+    int tags = 7;
+    parser.add_count("--tags", &tags, "tag count");
+    Argv argv({"bench_unit", "--tags", bad});
+    EXPECT_FALSE(parser.parse(argv.argc(), argv.argv())) << bad;
+    EXPECT_EQ(parser.exit_code(), 2) << bad;
+    EXPECT_EQ(tags, 7) << bad;  // Rejected values never land.
+  }
+  Parser parser("unit");
+  int tags = 7;
+  parser.add_count("--tags", &tags, "tag count");
+  Argv argv({"bench_unit", "--tags", "1"});
+  ASSERT_TRUE(parser.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(tags, 1);
+}
+
 // --- Harness --------------------------------------------------------------
 
 Options quiet_options(int warmup = 0, int repeat = 3) {

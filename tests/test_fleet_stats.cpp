@@ -5,57 +5,59 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/stats.hpp"
+
 namespace mmtag::deploy {
 namespace {
 
 TEST(Percentile, MedianOfOddCount) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
 }
 
 TEST(Percentile, InterpolatesBetweenRanks) {
   // Ranks 0..3; p50 falls exactly between 2.0 and 3.0.
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 50.0), 2.5);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
 }
 
 TEST(Percentile, ExtremesAreMinAndMax) {
   const std::vector<double> xs{5.0, -1.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), -1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 0.0), -1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 100.0), 5.0);
 }
 
 TEST(Percentile, SingleValueIsEveryPercentile) {
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 1.0), 7.0);
-  EXPECT_DOUBLE_EQ(percentile({7.0}, 99.0), 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 1.0), 7.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({7.0}, 99.0), 7.0);
 }
 
 TEST(Percentile, EmptyIsNaN) {
-  EXPECT_TRUE(std::isnan(percentile({}, 50.0)));
+  EXPECT_TRUE(std::isnan(obs::percentile({}, 50.0)));
 }
 
 TEST(Percentile, OutOfRangePctClamps) {
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0}, -10.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile({1.0, 2.0}, 140.0), 2.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, -10.0), 1.0);
+  EXPECT_DOUBLE_EQ(obs::percentile({1.0, 2.0}, 140.0), 2.0);
 }
 
 TEST(JainFairness, EqualSharesAreUnity) {
-  EXPECT_DOUBLE_EQ(jain_fairness({4.0, 4.0, 4.0, 4.0}), 1.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({4.0, 4.0, 4.0, 4.0}), 1.0);
 }
 
 TEST(JainFairness, OneHogOfNGivesOneOverN) {
   // A single non-zero share among n users scores exactly 1/n.
-  EXPECT_DOUBLE_EQ(jain_fairness({10.0, 0.0, 0.0, 0.0, 0.0}), 1.0 / 5.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({10.0, 0.0, 0.0, 0.0, 0.0}), 1.0 / 5.0);
 }
 
 TEST(JainFairness, DegenerateInputsAreZero) {
-  EXPECT_DOUBLE_EQ(jain_fairness({}), 0.0);
-  EXPECT_DOUBLE_EQ(jain_fairness({0.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({}), 0.0);
+  EXPECT_DOUBLE_EQ(obs::jain_fairness({0.0, 0.0}), 0.0);
 }
 
 TEST(JainFairness, ScaleInvariant) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(jain_fairness(a), jain_fairness(b));
+  EXPECT_DOUBLE_EQ(obs::jain_fairness(a), obs::jain_fairness(b));
 }
 
 TEST(SummarizeService, CountsReadsAndLatencies) {
@@ -101,10 +103,10 @@ TEST(Fingerprint, StableWhenNothingWasRead) {
 }
 
 // --- Pinned regression values -------------------------------------------
-// fleet_stats delegates percentile/jain/fingerprint to obs::stats (PR 4);
-// these exact values were produced by the pre-refactor private copies and
-// must never drift — they are what makes fleet fingerprints comparable
-// across repo versions.
+// fleet_stats summarizes through obs::percentile_sorted and hashes through
+// obs::Fnv1a; these exact values were produced by the original private
+// copies and must never drift — they are what makes fleet fingerprints
+// comparable across repo versions.
 
 TEST(Fingerprint, PinnedValueForKnownStats) {
   FleetStats stats;
@@ -135,73 +137,30 @@ TEST(Percentile, PinnedInterpolationBits) {
   // algorithm change (nearest-rank, exclusive interpolation, ...) breaks
   // these bits and with them every stored fleet fingerprint.
   const std::vector<double> xs{0.1, 0.2, 0.4, 0.8, 1.6};
-  EXPECT_DOUBLE_EQ(percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
-  EXPECT_DOUBLE_EQ(percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 95.0), 0.8 + 0.8 * 0.8);
+  EXPECT_DOUBLE_EQ(obs::percentile(xs, 10.0), 0.1 + 0.4 * 0.1);
 }
 
-// --- SoA column overload -------------------------------------------------
-// The streaming summarize_service(ServiceColumns) must agree bit-for-bit
-// with the AoS overload on equal state; the pinned digests above already
-// hold the arithmetic itself fixed.
-
-TEST(SummarizeService, ColumnOverloadMatchesVectorOverloadBitForBit) {
-  constexpr std::size_t n = 257;  // Odd size: percentile ranks interpolate.
-  std::vector<TagService> service(n);
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t % 3 == 0) continue;  // A third never read.
-    service[t].read = true;
-    service[t].first_read_s = 0.001 * static_cast<double>((t * 97) % 251);
-    service[t].delivered_bits = static_cast<double>((t * 31) % 1000);
-    read[t] = 1;
-    first[t] = service[t].first_read_s;
-    bits[t] = service[t].delivered_bits;
-  }
-  const FleetStats from_vec = summarize_service(service, 0.75);
-  const FleetStats from_cols = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 0.75);
-  EXPECT_EQ(fingerprint(from_vec), fingerprint(from_cols));
-  EXPECT_EQ(from_vec.tags_read, from_cols.tags_read);
-  EXPECT_DOUBLE_EQ(from_vec.latency_p95_s, from_cols.latency_p95_s);
-  EXPECT_DOUBLE_EQ(from_vec.jain, from_cols.jain);
-}
-
-TEST(SummarizeService, ColumnOverloadPinnedDigest) {
+TEST(SummarizeService, PinnedDigest) {
   // Frozen input -> frozen digest: pins the streaming implementation's
   // arithmetic (single sort + percentile_sorted, inline Jain recurrence)
   // to the historical materializing behaviour.
-  constexpr std::size_t n = 16;
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
+  std::vector<TagService> service(16);
+  for (std::size_t t = 0; t < service.size(); ++t) {
     if (t % 4 == 3) continue;
-    read[t] = 1;
-    first[t] = 0.25 + 0.125 * static_cast<double>(t);
-    bits[t] = 64.0 * static_cast<double>(t + 1);
+    service[t].read = true;
+    service[t].first_read_s = 0.25 + 0.125 * static_cast<double>(t);
+    service[t].delivered_bits = 64.0 * static_cast<double>(t + 1);
   }
-  const FleetStats stats = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 2.0);
+  const FleetStats stats = summarize_service(service, 2.0);
   EXPECT_EQ(fingerprint(stats), 0x7a0154437371d9c2ull);
 }
 
-TEST(SummarizeService, ColumnOverloadEmptyAndUnreadCases) {
-  const FleetStats empty = summarize_service(ServiceColumns{}, 1.0);
+TEST(SummarizeService, EmptyPopulation) {
+  const FleetStats empty = summarize_service({}, 1.0);
   EXPECT_EQ(empty.tags_total, 0);
   EXPECT_TRUE(std::isnan(empty.latency_p50_s));
   EXPECT_DOUBLE_EQ(empty.jain, 0.0);
-
-  // All-unread columns reproduce the canonical-NaN pinned digest of the
-  // AoS overload (same stats block, same hash).
-  constexpr std::size_t n = 4;
-  std::vector<std::uint8_t> read(n, 0);
-  std::vector<double> first(n, std::numeric_limits<double>::infinity());
-  std::vector<double> bits(n, 0.0);
-  const FleetStats unread = summarize_service(
-      ServiceColumns{n, read.data(), first.data(), bits.data()}, 1.0);
-  EXPECT_EQ(fingerprint(unread), 0x575c01476ca203a9ull);
 }
 
 TEST(FleetStatsTable, RendersOneRow) {

@@ -24,7 +24,7 @@ TEST(TagStore, DenseCreationAssignsSequentialSlots) {
   EXPECT_DOUBLE_EQ(store.orientations()[1], 0.1);
 }
 
-TEST(TagStore, ServiceColumnsStartZeroedWithInfiniteFirstRead) {
+TEST(TagStore, ServiceStateStartsZeroedWithInfiniteFirstRead) {
   TagStore store;
   const TagSlot slot = store.create(7, 0.0, 0.0, 0.0, 5e-6);
   EXPECT_EQ(store.read_flags()[slot], 0);
