@@ -20,7 +20,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_main.hpp"

@@ -104,7 +104,7 @@ std::uint64_t fingerprint(const MeshStats& stats) {
   hasher.mix_u64(static_cast<std::uint64_t>(stats.topology_epochs));
   hasher.mix_u64(static_cast<std::uint64_t>(stats.convergence_rounds));
   hasher.mix_u64(stats.lsa_transmissions);
-  // Zeros keep perfbench's hard-gated backhaul pin 0x45705499cce3ce60.
+  // Breaker-counter zeros keep perfbench's backhaul pin 0x45705499cce3ce60.
   hasher.mix_u64(0);
   hasher.mix_u64(0);
   hasher.mix_u64(0);

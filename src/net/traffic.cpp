@@ -87,7 +87,7 @@ std::uint64_t fingerprint(const TrafficReport& report) {
   obs::Fnv1a hasher;
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_offered));
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_admitted));
-  hasher.mix_u64(0);  // Keeps the hard-gated traffic pin 0x66a211dee1d8a5d3.
+  hasher.mix_u64(0);  // Old shed count; keeps traffic pin 0x66a211dee1d8a5d3.
   hasher.mix_u64(static_cast<std::uint64_t>(report.flows_served));
   hasher.mix_double(report.discovery_coverage);
   hasher.mix_u64(static_cast<std::uint64_t>(report.packets_offered));
