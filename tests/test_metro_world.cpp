@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/phy/rate_table.hpp"
@@ -302,6 +303,74 @@ TEST(MetroWorld, ControlPlaneEpochsAreThreadCountInvariant) {
     EXPECT_EQ(world.monitor()->fingerprint(), ref_monitor)
         << "threads=" << threads;
   }
+}
+
+// --- Frozen fingerprints ---------------------------------------------------
+// The values perfbench and bench_r1_resil print at seed 1. A change to the
+// store, the index, the batcher or the control plane that moves any of
+// them is a behaviour change, not a refactor.
+
+TEST(MetroWorld, PerfbenchSmallWorldFingerprintsAreFrozen) {
+  // perfbench's 100k-tag metro world: 200 x 200 m, 4 x 4 readers, 5 m
+  // index cells, seed 1.
+  MetroConfig cfg;
+  cfg.width_m = 200.0;
+  cfg.height_m = 200.0;
+  cfg.readers_x = 4;
+  cfg.readers_y = 4;
+  cfg.tags = 100000;
+  cfg.index_cell_m = 5.0;
+  cfg.seed = 1;
+  MetroWorld world(cfg);
+  sim::ThreadPool pool(2);
+  for (int e = 1; e <= 16; ++e) {
+    (void)world.run_epoch(pool);
+    if (e == 3) {
+      EXPECT_EQ(world.state_fingerprint(), 0x0633108fcf5e6928ULL);
+    }
+  }
+  EXPECT_EQ(world.state_fingerprint(), 0xa88df5c15bd9a73bULL);
+}
+
+/// bench_r1_resil's metro geometry: grid spacing at 60% of the top rate
+/// tier's range, 512 polls per reader, probes every 4 epochs.
+MetroConfig resil_config(int grid, std::size_t tags, std::uint64_t seed) {
+  MetroConfig cfg;
+  const BatchLinkModel model = BatchLinkModel::from_budget(
+      cfg.budget, phy::RateTable::mmtag_standard());
+  const double spacing = 0.6 * std::sqrt(model.tier_r2_m2.front());
+  cfg.readers_x = grid;
+  cfg.readers_y = grid;
+  cfg.width_m = spacing * grid;
+  cfg.height_m = spacing * grid;
+  cfg.index_cell_m = std::max(0.5, spacing / 4.0);
+  cfg.tags = tags;
+  cfg.polls_per_reader = 512;
+  cfg.health.probe_interval_epochs = 4;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(MetroWorld, ResilBenchControlPlaneFingerprintsAreFrozen) {
+  // bench_r1_resil's thread_invariance case: the lower-left 2 x 2 block
+  // of a 4 x 4 grid down for epochs [2, 10), control plane on, 12 epochs.
+  MetroConfig cfg = resil_config(4, 3000, 1);
+  cfg.domains.domains.push_back(resil::OutageDomain{0, 0, 1, 1, 2, 10});
+  cfg.control_plane = true;
+  MetroWorld world(cfg);
+  sim::ThreadPool pool(2);
+  std::uint64_t adopted = 0;
+  for (int e = 0; e < 12; ++e) adopted += world.run_epoch(pool).tags_adopted;
+  EXPECT_EQ(world.state_fingerprint(), 0x4ec95e25322f0dfcULL);
+  EXPECT_EQ(world.monitor()->fingerprint(), 0xe9ee56837482ec49ULL);
+  EXPECT_EQ(adopted, 4453u);
+}
+
+TEST(MetroWorld, ResilBenchLegacyFingerprintIsFrozen) {
+  MetroWorld world(resil_config(4, 3000, 1));
+  sim::ThreadPool pool(2);
+  for (int e = 0; e < 12; ++e) (void)world.run_epoch(pool);
+  EXPECT_EQ(world.state_fingerprint(), 0xbf747d083333ccdbULL);
 }
 
 }  // namespace
