@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
     for (const bool recover : {false, true}) {
       deploy::FleetConfig config = fleet_config(readers, tags, seed, epochs);
       config.faults.outages = ten_percent_outages(config.epoch_duration_s);
-      config.recovery.reassign_orphans = recover;
+      config.reassign_orphans = recover;
       const deploy::FleetResult result =
           deploy::FleetSimulator(config).run();
       availability[recover ? 1 : 0] = result.fault.availability;

@@ -201,9 +201,9 @@ int main(int argc, char** argv) {
         fault::ScriptedOutage{0, 2.0 * dur, 3.0 * dur + 0.01});
     const std::size_t m = static_cast<std::size_t>(readers);
 
-    // The monitor rides the epoch observer: it sees each reader's
-    // (assigned, discovered) report — the evidence a real coordinator
-    // has — and nothing else.
+    // The monitor rides the epoch observer: it sees each reader's count
+    // of discovered tags — the evidence a real coordinator has — and
+    // nothing else.
     resil::HealthMonitor monitor(m);
     std::vector<std::vector<std::uint8_t>> suspected(
         static_cast<std::size_t>(fleet_epochs),
@@ -211,12 +211,12 @@ int main(int argc, char** argv) {
     config.epoch_observer =
         [&](int e, const std::vector<deploy::CellEpochResult>& cells,
             const std::vector<std::uint8_t>&) {
+          std::vector<std::uint64_t> discovered(cells.size());
           for (std::size_t c = 0; c < cells.size(); ++c) {
-            monitor.record(c,
-                           static_cast<std::uint64_t>(cells[c].tags_assigned),
-                           static_cast<std::uint64_t>(cells[c].tags_discovered));
+            discovered[c] =
+                static_cast<std::uint64_t>(cells[c].tags_discovered);
           }
-          monitor.end_epoch();
+          monitor.end_epoch(discovered);
           for (std::size_t r = 0; r < m; ++r) {
             suspected[static_cast<std::size_t>(e)][r] =
                 monitor.suspected(r) ? 1 : 0;

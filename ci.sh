@@ -7,9 +7,11 @@
 # backhaul, metro, control-plane and impairment benches under the
 # sanitizers (plus a full-size
 # bench_d1_fleet compare gate for the SoA service rewire, and a check
-# that bench_n1_traffic rejects out-of-range sizes with exit 2), a TSan pass
-# over the test suite for the health monitor's cross-thread record path,
-# and a docs stage (skipped with a notice when doxygen is absent).
+# that the bench count flags and examples/metro_world reject counts below 1
+# with exit 2), a TSan pass over the test suite for the code that still
+# shares state across threads (the GridIndex cost counters, the MetroWorld
+# shards and sim::ThreadPool), and a docs stage (skipped with a notice
+# when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -57,7 +59,7 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build_dir}" -j --target mmtag_tests bench_d1_fleet \
   bench_d2_chaos bench_n1_traffic bench_m1_mesh bench_d3_metro \
-  bench_r1_resil bench_i1_impair
+  bench_r1_resil bench_i1_impair metro_world
 # Both dispatch modes under the sanitizers: the SIMD loadu/storeu edge
 # handling is exactly where ASan earns its keep.
 for kern in scalar auto; do
@@ -124,6 +126,17 @@ for bad in n1_traffic:packets:-5 n1_traffic:flows:-3 n1_traffic:tags:-1 \
     exit 1
   fi
 done
+# examples/metro_world parses its own flags; --tags -5 once aborted in
+# vector::reserve (exit 134).
+for bad in tags:0 tags:-5 epochs:0; do
+  rc=0
+  "${build_dir}/examples/metro_world" "--${bad%%:*}" "${bad#*:}" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: metro_world --${bad%%:*} ${bad#*:} exited ${rc}, expected 2"
+    exit 1
+  fi
+done
 echo "bench bad counts OK"
 
 echo "=== Mesh smoke (reader backhaul under ASan, JSON self-compare) ==="
@@ -166,9 +179,8 @@ echo "=== Resil smoke (control plane under ASan, JSON self-compare) ==="
 # thread-count-invariant detection fingerprints, <= 2-epoch detection
 # lag under chaos(0.5), a strict goodput margin for control-plane-on
 # under a correlated-domain incident, and bit-identity with the legacy
-# world when the plumbing is dormant — here with the monitor's
-# cross-thread record path and the adoption remap running under the
-# sanitizers.
+# world when the plumbing is dormant — here with the monitor and the
+# adoption remap running under the sanitizers.
 "${build_dir}/bench/bench_r1_resil" --csv --warmup 0 --repeat 1 \
   --json "${out_dir}/BENCH_r1_resil.json" > /dev/null
 "${build_dir}/bench/bench_r1_resil" --csv --warmup 0 --repeat 1 \
@@ -189,11 +201,11 @@ echo "=== Impair smoke (impairment pipeline under ASan, JSON self-compare) ==="
   --compare "${out_dir}/BENCH_i1_impair.json" --threshold 1.0 > /dev/null
 echo "impair smoke OK: ${out_dir}/BENCH_i1_impair.json"
 
-echo "=== TSan build (monitor cross-thread snapshot path) ==="
-# HealthMonitor::record is the one API meant to be hit from parallel
-# workers while the coordinating thread later snapshots in end_epoch();
-# ThreadSanitizer over the suite proves the relaxed-atomic contract and
-# the epoch fan-out it rides in (MetroWorld shards, sim::ThreadPool).
+echo "=== TSan build (GridIndex cost counters, MetroWorld shards, pool) ==="
+# The GridIndex query-cost counters are relaxed atomics bumped from the
+# MetroWorld epoch shards, which write disjoint store slots from
+# sim::ThreadPool workers. ThreadSanitizer over the suite proves both
+# contracts and the pool they ride on.
 build_dir="build-ci-tsan"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

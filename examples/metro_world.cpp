@@ -10,7 +10,8 @@
 // Prints per-epoch service and the final aggregate with the world state
 // fingerprint (bit-identical at any --threads value).
 //
-// Flags: --tags N, --epochs E, --threads N, --seed S.
+// Flags: --tags N, --epochs E, --threads N, --seed S. A tag or epoch
+// count below 1 exits 2 with usage.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +37,13 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+  }
+  if (tags < 1 || epochs < 1) {
+    std::fprintf(stderr,
+                 "usage: %s [--tags N] [--epochs E] [--threads N] "
+                 "[--seed S]\n  --tags and --epochs must be >= 1\n",
+                 argv[0]);
+    return 2;
   }
 
   scale::MetroConfig config;

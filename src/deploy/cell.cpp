@@ -33,8 +33,7 @@ ReaderCell::ReaderCell(int index, reader::MmWaveReader reader,
     : index_(index),
       rates_(rates),
       config_(config),
-      cache_(std::move(reader), env, rates, use_cache, index,
-             config.link_cache_tag_capacity) {
+      cache_(std::move(reader), env, rates, use_cache) {
   const double facing = cache_.reader().pose().orientation_rad;
   codebook_ = antenna::uniform_codebook(
       facing - config_.sector_half_angle_rad,

@@ -98,8 +98,6 @@ void record_fault_metrics(const fault::FaultReport& report,
 FleetSimulator::FleetSimulator(FleetConfig config)
     : config_(std::move(config)) {
   assert(config_.epochs > 0 && config_.epoch_duration_s > 0.0);
-  // One recovery knob at fleet level: cells read their copy.
-  config_.cell.recovery = config_.recovery;
 }
 
 FleetResult FleetSimulator::run() {
@@ -204,7 +202,7 @@ FleetResult FleetSimulator::run() {
             (live[r] != 0 && (reachable.empty() || reachable[r] != 0)) ? 1
                                                                        : 0;
       }
-      if (config_.recovery.reassign_orphans) {
+      if (config_.reassign_orphans) {
         report.orphan_handoffs += FleetCoordinator::reassign_orphans(
             layout.tags, readers, live, reachable, tag_cell);
       }
@@ -344,7 +342,7 @@ FleetResult FleetSimulator::run() {
             ? 1.0 - static_cast<double>(orphaned_tag_epochs) / tag_epochs
             : 1.0;
     const std::vector<double> recoveries =
-        engine->recovery_times_s(config_.recovery.reassign_orphans);
+        engine->recovery_times_s(config_.reassign_orphans);
     double mttr_sum = 0.0;
     for (const double r : recoveries) {
       mttr_sum += r;

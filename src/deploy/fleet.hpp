@@ -47,10 +47,12 @@ struct FleetConfig {
   /// inactive: no engine is built and the run takes the exact fault-free
   /// code path, RNG draw for RNG draw.
   fault::FaultSchedule faults;
-  /// How the fleet fights back when `faults` is active (orphan re-handoff;
-  /// poll retry knobs live in cell.recovery). A restarted reader always
-  /// re-calibrates: its cell drops the memoized link state.
-  fault::RecoveryConfig recovery;
+  /// When `faults` is active, hand tags orphaned by a full-epoch reader
+  /// outage to the nearest live reader at the next epoch boundary (and
+  /// back after the restart). Poll retry knobs live in cell.recovery. A
+  /// restarted reader always re-calibrates: its cell drops the memoized
+  /// link state.
+  bool reassign_orphans = true;
   /// Front-end impairment decomposition (DESIGN.md Sec. 16): with any
   /// stage enabled, every reader's opaque implementation_loss_db is
   /// replaced by impair::decompose(impairments).total_db — calibrate

@@ -33,21 +33,14 @@ obs::Counter& evictions_metric() {
       obs::Registry::instance().counter("deploy.cache.evictions");
   return counter;
 }
-obs::Counter& lru_evictions_metric() {
-  static obs::Counter& counter =
-      obs::Registry::instance().counter("deploy.cache.lru_evictions");
-  return counter;
-}
 
 }  // namespace
 
 LinkCache::LinkCache(reader::MmWaveReader reader,
                      const channel::Environment* env,
-                     const phy::RateTable* rates, bool enabled,
-                     int reader_id, std::size_t tag_capacity)
+                     const phy::RateTable* rates, bool enabled)
     : reader_(std::move(reader)), env_(env), rates_(rates),
-      enabled_(enabled), reader_id_(reader_id),
-      tag_capacity_(tag_capacity) {
+      enabled_(enabled) {
   assert(env_ != nullptr && rates_ != nullptr);
 }
 
@@ -56,13 +49,7 @@ const reader::LinkReport& LinkCache::link(const core::MmTag& tag,
                                           double boresight_rad) {
   ++stats_.lookups;
   if constexpr (obs::kObsEnabled) cache_lookups_metric().add(1);
-  auto it = entries_.find(tag.id());
-  if (it == entries_.end()) {
-    if (tag_capacity_ > 0 && entries_.size() >= tag_capacity_) evict_lru();
-    it = entries_.emplace(tag.id(), TagEntry{}).first;
-  }
-  TagEntry& entry = it->second;
-  entry.last_used = ++tick_;
+  TagEntry& entry = entries_[tag.id()];
 
   if (enabled_) {
     const auto cached = entry.reports.find(beam_key);
@@ -101,30 +88,6 @@ std::uint64_t LinkCache::entry_size(const TagEntry& entry) {
          (entry.paths_valid ? 1u : 0u);
 }
 
-void LinkCache::evict_lru() {
-  auto victim = entries_.end();
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    // Oldest lookup wins; equal ticks (only possible for never-looked-up
-    // entries) break toward the smallest tag id, keeping eviction order
-    // independent of unordered_map iteration order.
-    if (victim == entries_.end() ||
-        it->second.last_used < victim->second.last_used ||
-        (it->second.last_used == victim->second.last_used &&
-         it->first < victim->first)) {
-      victim = it;
-    }
-  }
-  if (victim == entries_.end()) return;
-  const std::uint64_t evicted = entry_size(victim->second);
-  stats_.evictions += evicted;
-  ++stats_.lru_evictions;
-  if constexpr (obs::kObsEnabled) {
-    evictions_metric().add(evicted);
-    lru_evictions_metric().add(1);
-  }
-  entries_.erase(victim);
-}
-
 void LinkCache::invalidate_tag(std::uint32_t tag_id) {
   const auto it = entries_.find(tag_id);
   if (it == entries_.end()) return;
@@ -134,24 +97,13 @@ void LinkCache::invalidate_tag(std::uint32_t tag_id) {
   entries_.erase(it);
 }
 
-void LinkCache::invalidate_all() {
+std::uint64_t LinkCache::invalidate_all() {
   std::uint64_t evicted = 0;
   for (const auto& [tag_id, entry] : entries_) evicted += entry_size(entry);
   stats_.evictions += evicted;
   if constexpr (obs::kObsEnabled) evictions_metric().add(evicted);
   entries_.clear();
-}
-
-std::uint64_t LinkCache::invalidate_reader(int reader_id) {
-  if (reader_id != reader_id_ || reader_id < 0) return 0;
-  const std::uint64_t before = stats_.evictions;
-  invalidate_all();
-  return stats_.evictions - before;
-}
-
-void LinkCache::move_reader(core::Pose pose) {
-  reader_.set_pose(pose);
-  invalidate_all();
+  return evicted;
 }
 
 }  // namespace mmtag::deploy

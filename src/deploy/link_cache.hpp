@@ -5,9 +5,10 @@
 // geometry only changes when an entity moves. trace_paths() is by far the
 // most expensive step (segment intersections against every wall and
 // obstacle), so this cache memoizes it per tag and the derived LinkReport
-// per (tag, beam), with dirty invalidation when mobility moves the tag or
-// the reader. Counters expose lookups/hits/raytrace evaluations so benches
-// can report the hit rate and the saved work (see bench_d1_fleet).
+// per (tag, beam), with dirty invalidation when mobility moves the tag and
+// a full flush when the reader restarts. Counters expose
+// lookups/hits/raytrace evaluations so benches can report the hit rate and
+// the saved work (see bench_d1_fleet).
 //
 // The cache is per-reader (each ReaderCell owns one), so parallel cells
 // never share mutable state — thread-count invariance of the fleet results
@@ -28,41 +29,20 @@ namespace mmtag::deploy {
 
 class LinkCache {
  public:
-  /// Default per-reader tag capacity. Sized above every existing bench's
-  /// per-cell working set (a full blackout hands one cell ~2000 tags), so
-  /// bounding memory changes no pinned fingerprint; metro-scale cells
-  /// with rosters beyond this start recycling cold entries instead of
-  /// growing without bound.
-  static constexpr std::size_t kDefaultTagCapacity = 4096;
-
   struct Stats {
     std::uint64_t lookups = 0;
     std::uint64_t hits = 0;  ///< Served without recomputing the report.
     std::uint64_t raytrace_evals = 0;  ///< trace_paths() invocations.
     std::uint64_t evictions = 0;  ///< Memoized entries dropped (reports +
                                   ///< traced path sets).
-    /// Tags dropped by the capacity bound (least-recently-used victim per
-    /// overflow; their entries are also counted in `evictions`).
-    std::uint64_t lru_evictions = 0;
-
-    [[nodiscard]] double hit_rate() const {
-      return lookups > 0
-                 ? static_cast<double>(hits) / static_cast<double>(lookups)
-                 : 0.0;
-    }
   };
 
   /// `env` and `rates` must outlive the cache. `enabled == false` turns the
   /// cache into a counting pass-through (every lookup re-traces), which is
-  /// the uncached baseline the bench compares against. `reader_id` is the
-  /// fleet-wide identity invalidate_reader() matches against (-1 = none).
-  /// `tag_capacity` bounds the number of memoized tags (0 = unbounded);
-  /// inserting past it evicts the least-recently-looked-up tag, ties
-  /// broken by smallest tag id so eviction order is deterministic.
+  /// the uncached baseline the bench compares against. The cache is
+  /// unbounded: it holds one entry per tag its cell has looked up.
   LinkCache(reader::MmWaveReader reader, const channel::Environment* env,
-            const phy::RateTable* rates, bool enabled = true,
-            int reader_id = -1,
-            std::size_t tag_capacity = kDefaultTagCapacity);
+            const phy::RateTable* rates, bool enabled = true);
 
   /// Link report for `tag` with the reader steered to `boresight_rad`.
   /// `beam_key` must identify the steering uniquely (codebook index) —
@@ -76,37 +56,20 @@ class LinkCache {
   /// Drop everything cached for `tag_id` (call when the tag moved).
   void invalidate_tag(std::uint32_t tag_id);
 
-  /// Drop the whole cache (environment changed).
-  void invalidate_all();
-
-  /// Bulk invalidation addressed by reader identity: if `reader_id`
-  /// matches this cache's reader, drop every memoized entry (a restarted
-  /// reader re-calibrates from scratch — stale link state must not survive
-  /// the power cycle). Returns the number of entries evicted; a non-match
-  /// is a no-op returning 0, so fleet-wide code can broadcast the call.
-  std::uint64_t invalidate_reader(int reader_id);
-
-  /// Move the reader itself: re-pose and drop the whole cache.
-  void move_reader(core::Pose pose);
+  /// Drop the whole cache (a restarted reader re-calibrates from scratch —
+  /// stale link state must not survive the power cycle). Returns the
+  /// number of entries evicted.
+  std::uint64_t invalidate_all();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const reader::MmWaveReader& reader() const { return reader_; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] int reader_id() const { return reader_id_; }
-  [[nodiscard]] std::size_t tag_capacity() const { return tag_capacity_; }
-  /// Tags currently memoized (always <= tag_capacity when bounded).
-  [[nodiscard]] std::size_t resident_tags() const { return entries_.size(); }
 
  private:
   struct TagEntry {
     std::vector<channel::Path> paths;
     bool paths_valid = false;
     std::unordered_map<int, reader::LinkReport> reports;  ///< By beam key.
-    std::uint64_t last_used = 0;  ///< Lookup tick, for LRU eviction.
   };
-
-  /// Drop the least-recently-used tag to make room (capacity pressure).
-  void evict_lru();
 
   /// Memoized entries held for `tag_id` (reports + traced path set).
   [[nodiscard]] static std::uint64_t entry_size(const TagEntry& entry);
@@ -115,9 +78,6 @@ class LinkCache {
   const channel::Environment* env_;
   const phy::RateTable* rates_;
   bool enabled_;
-  int reader_id_;
-  std::size_t tag_capacity_;
-  std::uint64_t tick_ = 0;
   std::unordered_map<std::uint32_t, TagEntry> entries_;
   Stats stats_;
   reader::LinkReport scratch_;  ///< Returned storage when disabled.

@@ -128,13 +128,11 @@ struct FaultSchedule {
   [[nodiscard]] static FaultSchedule chaos(double intensity);
 };
 
-/// How the stack fights back. Consumed by FleetSimulator, ReaderCell and
-/// the coordinator; all knobs are epoch-granular except the poll-level
-/// retry/backoff, which runs inside a cell's event queue.
+/// How a reader cell fights back against unanswered polls: the
+/// poll-level retry/backoff and quarantine run inside the cell's event
+/// queue (deploy::CellConfig::recovery). Orphan re-handoff is fleet-level
+/// (deploy::FleetConfig::reassign_orphans).
 struct RecoveryConfig {
-  /// Hand tags orphaned by a full-epoch reader outage to the nearest live
-  /// reader at the next epoch boundary (and back after the restart).
-  bool reassign_orphans = true;
   /// Consecutive no-response polls of one tag before it is quarantined.
   int poll_retry_budget = 2;
   /// First retry waits this long; doubles per further consecutive failure.

@@ -1,36 +1,23 @@
 #include "src/impair/chain.hpp"
 
+#include <string_view>
+
 #include "src/obs/metrics.hpp"
 
 namespace mmtag::impair {
 namespace {
 
-// Per-stage application counters. Only enabled stages record, so bypass
-// runs leave the obs export bit-identical to the legacy chain.
-void record_stage(const ImpairmentStage& stage, std::size_t samples) {
-  if constexpr (obs::kObsEnabled) {
-    auto& registry = obs::Registry::instance();
-    if (stage.name() == "pa") {
-      static obs::Counter& applies = registry.counter("impair.stage.pa.applies");
-      applies.add();
-    } else if (stage.name() == "phase_noise") {
-      static obs::Counter& applies =
-          registry.counter("impair.stage.phase_noise.applies");
-      applies.add();
-    } else if (stage.name() == "iq") {
-      static obs::Counter& applies = registry.counter("impair.stage.iq.applies");
-      applies.add();
-    } else {
-      static obs::Counter& applies =
-          registry.counter("impair.stage.adc.applies");
-      applies.add();
-    }
-    static obs::Counter& total = registry.counter("impair.stage.samples");
-    total.add(static_cast<std::uint64_t>(samples));
-  } else {
-    (void)stage;
-    (void)samples;
-  }
+obs::Counter& counter(std::string_view name) {
+  return obs::Registry::instance().counter(name);
+}
+
+// Per-stage application counters, one per call site. Only enabled stages
+// record, so bypass runs leave the obs export bit-identical to the legacy
+// chain.
+void record_stage(obs::Counter& applies, std::size_t samples) {
+  applies.add();
+  static obs::Counter& total = counter("impair.stage.samples");
+  total.add(static_cast<std::uint64_t>(samples));
 }
 
 }  // namespace
@@ -45,14 +32,14 @@ ImpairmentChain::ImpairmentChain(const ImpairmentConfig& config)
       adc_(config.adc) {}
 
 void ImpairmentChain::apply_tx(phy::Waveform& samples,
-                               std::uint64_t seed) const {
+                               std::uint64_t /*seed*/) const {
   if (!config_.pa.enabled || samples.empty()) {
     return;
   }
-  pa_.apply(samples, seed);
-  record_stage(pa_, samples.size());
-  static obs::Counter& calls =
-      obs::Registry::instance().counter("impair.apply.tx");
+  pa_.apply(samples);
+  static obs::Counter& applies = counter("impair.stage.pa.applies");
+  record_stage(applies, samples.size());
+  static obs::Counter& calls = counter("impair.apply.tx");
   calls.add();
 }
 
@@ -64,22 +51,24 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
   bool any = false;
   if (config_.phase_noise.enabled) {
     phase_noise_.apply(samples, seed);
-    record_stage(phase_noise_, samples.size());
+    static obs::Counter& applies = counter("impair.stage.phase_noise.applies");
+    record_stage(applies, samples.size());
     any = true;
   }
   if (config_.iq.enabled) {
-    iq_.apply(samples, seed);
-    record_stage(iq_, samples.size());
+    iq_.apply(samples);
+    static obs::Counter& applies = counter("impair.stage.iq.applies");
+    record_stage(applies, samples.size());
     any = true;
   }
   if (config_.adc.enabled) {
     adc_.apply(samples, seed);
-    record_stage(adc_, samples.size());
+    static obs::Counter& applies = counter("impair.stage.adc.applies");
+    record_stage(applies, samples.size());
     any = true;
   }
   if (any) {
-    static obs::Counter& calls =
-        obs::Registry::instance().counter("impair.apply.rx");
+    static obs::Counter& calls = counter("impair.apply.rx");
     calls.add();
   }
 }
@@ -87,10 +76,6 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
 void ImpairmentChain::apply(phy::Waveform& samples, std::uint64_t seed) const {
   apply_tx(samples, seed);
   apply_rx(samples, seed);
-}
-
-std::array<const ImpairmentStage*, 4> ImpairmentChain::stages() const {
-  return {&pa_, &phase_noise_, &iq_, &adc_};
 }
 
 double ImpairmentChain::evm_squared_total() const {

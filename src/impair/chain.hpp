@@ -14,7 +14,6 @@
 // bit-identical for any thread count and any stage on/off combination.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 #include "src/impair/config.hpp"
@@ -47,10 +46,6 @@ class ImpairmentChain {
 
   /// apply_tx followed by apply_rx — the noiseless-channel composition.
   void apply(phy::Waveform& samples, std::uint64_t seed) const;
-
-  /// Stage views in fixed pipeline order (PA, phase noise, IQ, ADC),
-  /// present regardless of enablement.
-  [[nodiscard]] std::array<const ImpairmentStage*, 4> stages() const;
 
   /// Sum of evm_squared() over the *enabled* stages — the joint
   /// small-signal distortion power against a unit-power signal.

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "src/impair/chain.hpp"
+#include "src/impair/stages.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace mmtag::impair {
@@ -21,7 +21,6 @@ double stage_loss_db(double evm_squared, double required_snr_db) {
 }
 
 LossReport decompose(const ImpairmentConfig& config, double required_snr_db) {
-  const ImpairmentChain chain(config);
   const double gamma = std::pow(10.0, required_snr_db / 10.0);
 
   LossReport report;
@@ -29,24 +28,25 @@ LossReport decompose(const ImpairmentConfig& config, double required_snr_db) {
   report.residual_db = config.residual_db;
 
   double evm_total = 0.0;
-  for (const ImpairmentStage* stage : chain.stages()) {
+  // Disabled stages report zeros; the chain skips them too.
+  const auto add_stage = [&](std::string_view name, bool enabled,
+                             double evm_squared) {
     StageLoss entry;
-    entry.stage = stage->name();
-    // Enablement is per-stage config; the chain skips disabled stages.
-    const bool enabled = (stage->name() == "pa" && config.pa.enabled) ||
-                         (stage->name() == "phase_noise" &&
-                          config.phase_noise.enabled) ||
-                         (stage->name() == "iq" && config.iq.enabled) ||
-                         (stage->name() == "adc" && config.adc.enabled);
+    entry.stage = name;
     entry.enabled = enabled;
     if (enabled) {
-      entry.evm_squared = stage->evm_squared();
-      entry.loss_db = stage_loss_db(entry.evm_squared, required_snr_db);
-      entry.floor_limited = gamma * entry.evm_squared >= 1.0;
-      evm_total += entry.evm_squared;
+      entry.evm_squared = evm_squared;
+      entry.loss_db = stage_loss_db(evm_squared, required_snr_db);
+      entry.floor_limited = gamma * evm_squared >= 1.0;
+      evm_total += evm_squared;
     }
     report.stages.push_back(entry);
-  }
+  };
+  add_stage("pa", config.pa.enabled, PaStage(config.pa).evm_squared());
+  add_stage("phase_noise", config.phase_noise.enabled,
+            PhaseNoiseStage(config.phase_noise).evm_squared());
+  add_stage("iq", config.iq.enabled, IqImbalanceStage(config.iq).evm_squared());
+  add_stage("adc", config.adc.enabled, AdcStage(config.adc).evm_squared());
 
   report.floor_limited = gamma * evm_total >= 1.0;
   report.modelled_db = stage_loss_db(evm_total, required_snr_db);

@@ -14,6 +14,10 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 constexpr double kDegToRad = kPi / 180.0;
 
+// Fixed RNG stream ordinals of the stochastic stages (stages.hpp).
+constexpr std::uint64_t kPhaseNoiseStream = 1;
+constexpr std::uint64_t kAdcStream = 3;
+
 [[nodiscard]] double db_to_linear_power(double db) {
   return std::pow(10.0, db / 10.0);
 }
@@ -58,8 +62,7 @@ double PaStage::phase_at(double amplitude) const {
   return 2.0 * std::atan(t);
 }
 
-void PaStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
-  (void)seed;  // Deterministic stage.
+void PaStage::apply(phy::Waveform& samples) const {
   if (!params_.enabled || samples.empty()) {
     return;
   }
@@ -94,7 +97,7 @@ void PhaseNoiseStage::apply(phy::Waveform& samples,
   // Coefficient generation is scalar (cos/sin are not exactly-rounded
   // and never enter kernels); the Hadamard product is kernel-exact.
   std::mt19937_64 rng =
-      sim::make_rng(sim::derive_seed(seed, stream_ordinal()));
+      sim::make_rng(sim::derive_seed(seed, kPhaseNoiseStream));
   std::normal_distribution<double> unit(0.0, 1.0);
   std::vector<phy::Complex> coeff(samples.size());
   double phi = 0.0;
@@ -127,9 +130,7 @@ IqImbalanceStage::IqImbalanceStage(const IqImbalanceParams& params)
   evm_squared_ = mu2 > 0.0 ? nu2 / mu2 : 0.0;
 }
 
-void IqImbalanceStage::apply(phy::Waveform& samples,
-                             std::uint64_t seed) const {
-  (void)seed;  // Deterministic stage.
+void IqImbalanceStage::apply(phy::Waveform& samples) const {
   if (!params_.enabled || samples.empty()) {
     return;
   }
@@ -160,8 +161,7 @@ void AdcStage::apply(phy::Waveform& samples, std::uint64_t seed) const {
     return;
   }
   if (jitter_sigma_ > 0.0) {
-    std::mt19937_64 rng =
-        sim::make_rng(sim::derive_seed(seed, stream_ordinal()));
+    std::mt19937_64 rng = sim::make_rng(sim::derive_seed(seed, kAdcStream));
     std::normal_distribution<double> unit(0.0, 1.0);
     for (phy::Complex& sample : samples) {
       // Fixed draw order: I rail then Q rail.

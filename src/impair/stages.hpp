@@ -1,33 +1,48 @@
-// Concrete impairment stages (DESIGN.md Sec. 16, docs/IMPAIRMENTS.md).
+// Hardware impairment stages (DESIGN.md Sec. 16, docs/IMPAIRMENTS.md).
 //
-// Each stage precomputes its derived constants in the constructor (the
-// only place transcendentals like tan/exp10 run for the deterministic
-// stages) and applies the per-sample math through kern::dispatch()
-// kernels, so enabled runs are bit-identical across SIMD backends.
+// Each stage mutates a complex-baseband waveform in place. The contracts
+// that make a pipeline of stages deterministic:
+//
+//   * Fixed stream ordinals. Each stochastic stage owns a compile-time
+//     ordinal (phase noise = 1, ADC = 3; 0 and 2 belong to the
+//     deterministic PA and IQ stages) and draws randomness only from
+//     mt19937_64(sim::derive_seed(seed, ordinal)). Toggling a stage on
+//     or off therefore never shifts another stage's stream.
+//   * Seed-pure application. apply() is const and uses no state other
+//     than the ctor parameters and the passed seed, so the same
+//     (waveform, seed) pair always yields the same bits regardless of
+//     thread, call order, or how many other entities were processed.
+//   * Kernel-exact arithmetic. Each stage precomputes its derived
+//     constants in the constructor (the only place transcendentals like
+//     tan/exp10 run for the deterministic stages) and applies the
+//     per-sample math through kern::dispatch() kernels restricted to
+//     exactly-rounded IEEE ops, so enabled runs are bit-identical across
+//     scalar/SSE4.2/AVX2 backends.
+//
 // A disabled stage's apply() is a guaranteed no-op: no RNG draws, no
-// sample writes.
+// sample writes. Each stage's evm_squared() feeds the loss decomposition
+// in loss.hpp.
 #pragma once
 
 #include <cstdint>
 
 #include "src/impair/config.hpp"
-#include "src/impair/stage.hpp"
+#include "src/phy/waveform.hpp"
 
 namespace mmtag::impair {
 
 /// Rapp AM/AM (p = 2) + rational AM/PM power-amplifier stage.
-/// Transmit side, stream ordinal 0, deterministic.
-class PaStage final : public ImpairmentStage {
+/// Transmit side, deterministic.
+class PaStage {
  public:
   /// Precomputes 1/Asat^2 from the backoff and the AM/PM curve
   /// coefficients from the rotation-at-saturation spec.
   explicit PaStage(const PaParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "pa"; }
-  [[nodiscard]] bool tx_side() const override { return true; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 0; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  /// Mutate `samples` in place.
+  void apply(phy::Waveform& samples) const;
+  /// Small-signal EVM^2 against a unit-power signal (linear ratio).
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Compressive gain g(A) of the Rapp curve at amplitude `amplitude`
   /// (reference helper for tests; the kernel computes the same bits).
@@ -47,24 +62,17 @@ class PaStage final : public ImpairmentStage {
 /// stochastic: coefficients cos/sin(phi_n) are generated in scalar code
 /// from the stage's derived stream, then applied with the exact
 /// mul_complex kernel.
-class PhaseNoiseStage final : public ImpairmentStage {
+class PhaseNoiseStage {
  public:
   /// Precomputes the per-sample Wiener increment sigma and the white
   /// floor sigma from the linewidth and sample rate.
   explicit PhaseNoiseStage(const PhaseNoiseParams& params);
 
-  [[nodiscard]] std::string_view name() const override {
-    return "phase_noise";
-  }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 1; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
-
-  /// Wiener increment standard deviation per sample [radians].
-  [[nodiscard]] double wiener_sigma() const { return wiener_sigma_; }
-  /// White phase floor standard deviation [radians].
-  [[nodiscard]] double white_sigma() const { return white_sigma_; }
+  /// Mutate `samples` in place, drawing from the stream derived from the
+  /// per-(epoch, entity) base `seed` and ordinal 1.
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  /// Small-signal EVM^2 against a unit-power signal (linear ratio).
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
  private:
   PhaseNoiseParams params_;
@@ -74,17 +82,16 @@ class PhaseNoiseStage final : public ImpairmentStage {
 };
 
 /// Receive IQ-imbalance stage y = mu x + nu conj(x). Receive side,
-/// stream ordinal 2, deterministic.
-class IqImbalanceStage final : public ImpairmentStage {
+/// deterministic.
+class IqImbalanceStage {
  public:
   /// Precomputes mu and nu from the gain/phase mismatch.
   explicit IqImbalanceStage(const IqImbalanceParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "iq"; }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 2; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  /// Mutate `samples` in place.
+  void apply(phy::Waveform& samples) const;
+  /// Small-signal EVM^2 against a unit-power signal (linear ratio).
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Direct-path coefficient mu.
   [[nodiscard]] phy::Complex mu() const { return mu_; }
@@ -100,22 +107,20 @@ class IqImbalanceStage final : public ImpairmentStage {
 
 /// ADC mid-tread quantization + aperture-jitter stage. Receive side,
 /// stream ordinal 3; stochastic only when jitter_ps_rms > 0.
-class AdcStage final : public ImpairmentStage {
+class AdcStage {
  public:
   /// Precomputes the quantizer step from bits/full-scale and the
   /// jitter-noise sigma from the slew-rate model.
   explicit AdcStage(const AdcParams& params);
 
-  [[nodiscard]] std::string_view name() const override { return "adc"; }
-  [[nodiscard]] bool tx_side() const override { return false; }
-  [[nodiscard]] std::uint64_t stream_ordinal() const override { return 3; }
-  void apply(phy::Waveform& samples, std::uint64_t seed) const override;
-  [[nodiscard]] double evm_squared() const override { return evm_squared_; }
+  /// Mutate `samples` in place; the jitter draws come from the stream
+  /// derived from `seed` and ordinal 3.
+  void apply(phy::Waveform& samples, std::uint64_t seed) const;
+  /// Small-signal EVM^2 against a unit-power signal (linear ratio).
+  [[nodiscard]] double evm_squared() const { return evm_squared_; }
 
   /// Quantizer step per I/Q rail.
   [[nodiscard]] double step() const { return step_; }
-  /// Aperture-jitter noise standard deviation per rail.
-  [[nodiscard]] double jitter_sigma() const { return jitter_sigma_; }
 
  private:
   AdcParams params_;

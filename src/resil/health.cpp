@@ -1,8 +1,8 @@
 #include "src/resil/health.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/stats.hpp"
@@ -25,42 +25,30 @@ obs::Counter& cleared_metric() {
 }  // namespace
 
 HealthMonitor::HealthMonitor(std::size_t entities, HealthConfig config)
-    : config_(config), accum_(entities), state_(entities) {
-  assert(config_.phi_suspect > 0.0);
-  assert(config_.min_miss_probability > 0.0 &&
-         config_.min_miss_probability <= config_.max_miss_probability &&
-         config_.max_miss_probability < 1.0);
-  assert(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0);
-  assert(config_.probe_interval_epochs >= 1);
+    : config_(config), state_(entities) {
+  if (config_.probe_interval_epochs < 1) {
+    throw std::invalid_argument(
+        "HealthConfig: probe_interval_epochs must be >= 1");
+  }
 }
 
-void HealthMonitor::record(std::size_t entity, std::uint64_t attempts,
-                           std::uint64_t successes) noexcept {
-  assert(entity < accum_.size());
-  Accumulator& a = accum_[entity];
-  a.attempts.fetch_add(attempts, std::memory_order_relaxed);
-  a.successes.fetch_add(successes, std::memory_order_relaxed);
-}
-
-void HealthMonitor::end_epoch() {
+void HealthMonitor::end_epoch(const std::vector<std::uint64_t>& successes) {
+  if (successes.size() != state_.size()) {
+    throw std::invalid_argument(
+        "HealthMonitor::end_epoch: one success count per entity");
+  }
   ++epochs_;
   suspected_count_ = 0;
   for (std::size_t e = 0; e < state_.size(); ++e) {
-    Accumulator& a = accum_[e];
-    // Attempts only matter through their successes: silence and zero
-    // successes against nonzero attempts are both a miss.
-    a.attempts.store(0, std::memory_order_relaxed);
-    const std::uint64_t successes =
-        a.successes.exchange(0, std::memory_order_relaxed);
     EntityState& s = state_[e];
 
-    const bool miss = successes == 0;
+    const bool miss = successes[e] == 0;
     if (miss) {
       // Suspicion accrues against the *pre-miss* healthy model: the
       // clamped EWMA is read first, so a clean-history entity pays the
       // full floor improbability (>= 1.3 decades) on its first miss.
-      const double p = std::clamp(s.ewma_miss, config_.min_miss_probability,
-                                  config_.max_miss_probability);
+      const double p =
+          std::clamp(s.ewma_miss, kMinMissProbability, kMaxMissProbability);
       const double per_miss = -std::log10(p);
       ++s.miss_streak;
       s.phi = static_cast<double>(s.miss_streak) * per_miss;
@@ -68,17 +56,17 @@ void HealthMonitor::end_epoch() {
       // rest is the failure in progress, which must not teach the
       // detector that being down is normal.
       if (!s.last_was_miss) {
-        s.ewma_miss += config_.ewma_alpha * (1.0 - s.ewma_miss);
+        s.ewma_miss += kEwmaAlpha * (1.0 - s.ewma_miss);
       }
       s.last_was_miss = true;
     } else {
-      s.ewma_miss *= 1.0 - config_.ewma_alpha;
+      s.ewma_miss *= 1.0 - kEwmaAlpha;
       s.miss_streak = 0;
       s.phi = 0.0;
       s.last_was_miss = false;
     }
 
-    const bool suspect = s.phi >= config_.phi_suspect;
+    const bool suspect = s.phi >= kPhiSuspect;
     if (suspect) {
       ++suspected_count_;
       if (s.suspected_since == 0) {

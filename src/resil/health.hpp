@@ -1,16 +1,16 @@
 // Phi-accrual-style failure detection from observed outcomes.
 //
 // The monitor watches entities (readers, backhaul links) through the only
-// evidence a deployed control plane actually has: per-epoch counts of
-// attempts and successes reported by the data path. It never reads the
-// FaultSchedule — detection is inference, not oracle lookup.
+// evidence a deployed control plane actually has: per-epoch success
+// counts reported by the data path. It never reads the FaultSchedule —
+// detection is inference, not oracle lookup.
 //
-// Model: an epoch is a *miss* when the entity produced no success (zero
-// successes against nonzero attempts, or silence — a down reader reports
-// nothing at all). Healthy miss probability is tracked per entity with an
-// EWMA learned only from non-streak evidence (a success epoch, or the
-// first miss after a success) so a long outage cannot poison its own
-// detector. The suspicion level is the phi-accrual statistic
+// Model: an epoch is a *miss* when the entity produced no success; a
+// down reader reports nothing at all, which the caller passes as 0.
+// Healthy miss probability is tracked per entity with an EWMA learned
+// only from non-streak evidence (a success epoch, or the first miss after
+// a success) so a long outage cannot poison its own detector. The
+// suspicion level is the phi-accrual statistic
 //
 //   phi = miss_streak * -log10(p_miss_healthy)
 //
@@ -20,37 +20,34 @@
 // default threshold (phi >= 1) in one epoch and even a noisy entity
 // crosses within two — the detection-lag gate bench_r1_resil enforces.
 //
-// Threading contract (DESIGN.md Sec. 15): record() is wait-free and may
-// be called from any worker (per-entity relaxed atomics; integer adds
-// commute, so totals are bit-identical for any interleaving). All
-// *stateful* detection — the snapshot, the EWMA update, the phi draw, the
-// serve/probe decision — happens in end_epoch() on the coordinating
-// thread, walking entities in fixed index order. Thread count therefore
-// cannot influence a single suspicion bit.
+// The monitor is serial: end_epoch() takes the epoch's success counts,
+// one per entity, on the coordinating thread after the fan-out joined,
+// and walks entities in fixed index order. Thread count therefore cannot
+// influence a single suspicion bit.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace mmtag::resil {
 
+/// Suspicion threshold in decades of improbability.
+inline constexpr double kPhiSuspect = 1.0;
+/// Floor on the learned healthy miss probability. Keeps one miss worth
+/// -log10(0.05) ~ 1.3 decades even for an entity with a spotless history,
+/// bounding detection lag from above.
+inline constexpr double kMinMissProbability = 0.05;
+/// Ceiling on the learned healthy miss probability; above it the
+/// "healthy" model would explain any outage away. At 0.3 one miss is
+/// worth >= 0.52 decades, so even the noisiest entity is suspected within
+/// two consecutive misses — the structural bound behind the detection-lag
+/// gate.
+inline constexpr double kMaxMissProbability = 0.3;
+/// EWMA weight of one new miss-rate observation.
+inline constexpr double kEwmaAlpha = 0.2;
+
 struct HealthConfig {
-  /// Suspicion threshold in decades of improbability.
-  double phi_suspect = 1.0;
-  /// Floor on the learned healthy miss probability. Keeps one miss worth
-  /// -log10(0.05) ~ 1.3 decades even for an entity with a spotless
-  /// history, bounding detection lag from above.
-  double min_miss_probability = 0.05;
-  /// Ceiling on the learned healthy miss probability; above it the
-  /// "healthy" model would explain any outage away. At 0.3 one miss is
-  /// worth >= 0.52 decades, so even the noisiest entity is suspected
-  /// within two consecutive misses — the structural bound behind the
-  /// detection-lag gate.
-  double max_miss_probability = 0.3;
-  /// EWMA weight of one new miss-rate observation.
-  double ewma_alpha = 0.2;
   /// Suspected entities are re-probed every this many epochs (half-open:
   /// one serving epoch; a success clears suspicion, silence re-confirms
   /// it). Must be >= 1.
@@ -59,19 +56,15 @@ struct HealthConfig {
 
 class HealthMonitor {
  public:
+  /// Throws std::invalid_argument when probe_interval_epochs < 1.
   explicit HealthMonitor(std::size_t entities, HealthConfig config = {});
 
-  /// Report one epoch's outcomes for `entity`. Wait-free; callable from
-  /// parallel workers while the epoch runs.
-  void record(std::size_t entity, std::uint64_t attempts,
-              std::uint64_t successes) noexcept;
+  /// Close one epoch: `successes` holds each entity's success count, in
+  /// entity order (silence is 0). Updates the suspicion state and draws
+  /// the next epoch's serve decisions. Throws std::invalid_argument when
+  /// the vector is not one entry per entity.
+  void end_epoch(const std::vector<std::uint64_t>& successes);
 
-  /// Snapshot every entity's reported counts, update the suspicion state,
-  /// and zero the accumulators for the next epoch. Coordinating thread
-  /// only, after the fan-out joined; entities are walked in index order.
-  void end_epoch();
-
-  [[nodiscard]] std::size_t entities() const { return state_.size(); }
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
 
   /// Suspicion as of the last end_epoch().
@@ -79,7 +72,7 @@ class HealthMonitor {
     return state_[entity].phi;
   }
   [[nodiscard]] bool suspected(std::size_t entity) const {
-    return state_[entity].phi >= config_.phi_suspect;
+    return state_[entity].phi >= kPhiSuspect;
   }
   /// Degraded-mode service decision: serve the entity this epoch? True
   /// for healthy entities always, and for suspected ones only on their
@@ -94,18 +87,12 @@ class HealthMonitor {
     return state_[entity].suspected_since;
   }
 
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
-
   /// FNV-1a digest of the full detection state (phi, streaks, EWMA,
   /// serve bits, in entity order) — the bit-identity check bench_r1_resil
   /// compares across thread counts.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
-  struct alignas(64) Accumulator {
-    std::atomic<std::uint64_t> attempts{0};
-    std::atomic<std::uint64_t> successes{0};
-  };
   struct EntityState {
     double ewma_miss = 0.0;   ///< Learned healthy miss probability.
     double phi = 0.0;
@@ -117,7 +104,6 @@ class HealthMonitor {
   };
 
   HealthConfig config_;
-  std::vector<Accumulator> accum_;
   std::vector<EntityState> state_;
   std::size_t suspected_count_ = 0;
   std::uint64_t epochs_ = 0;

@@ -50,11 +50,11 @@ class GridIndex {
   /// A `width_m` x `height_m` world bucketed into square cells of
   /// `cell_m` (the last row/column absorbs the remainder). Positions
   /// outside the rectangle clamp to the border cells, so a slightly
-  /// out-of-bounds mover never corrupts the index.
+  /// out-of-bounds mover never corrupts the index. Throws
+  /// std::invalid_argument unless all three lengths are positive.
   GridIndex(double width_m, double height_m, double cell_m);
 
   void insert(TagSlot slot, double x, double y);
-  void remove(TagSlot slot, double x, double y);
 
   /// Rebucket `slot` after a move from (old_x, old_y) to (new_x, new_y).
   /// Returns true when the slot actually changed cells (the caller's old
@@ -69,20 +69,10 @@ class GridIndex {
   void gather_disc(double cx, double cy, double radius_m,
                    std::vector<TagSlot>& out) const;
 
-  /// Append every slot whose cell intersects the axis-aligned rectangle
-  /// [x0, x1] x [y0, y1], same order convention as gather_disc.
-  void gather_rect(double x0, double y0, double x1, double y1,
-                   std::vector<TagSlot>& out) const;
-
   [[nodiscard]] QueryCost cost() const {
     return {queries_.load(std::memory_order_relaxed),
             cells_visited_.load(std::memory_order_relaxed),
             candidates_.load(std::memory_order_relaxed)};
-  }
-  void reset_cost() {
-    queries_.store(0, std::memory_order_relaxed);
-    cells_visited_.store(0, std::memory_order_relaxed);
-    candidates_.store(0, std::memory_order_relaxed);
   }
 
   [[nodiscard]] int cols() const { return cols_; }

@@ -9,11 +9,8 @@
 // kernels and MetroWorld's merge, summary and fingerprint stream over the
 // service columns without materializing per-tag records.
 //
-// Slots are stable for a tag's lifetime and recycled through a free-list:
-// destroying a tag never moves another tag's state, so spatial-index
-// entries and cross-references stay valid. Populations built without
-// destroy() are dense (slot == creation index), which is the layout every
-// bench uses.
+// The store is dense: a tag's slot is its creation index, and every
+// column has one entry per created tag.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +18,8 @@
 
 namespace mmtag::scale {
 
-/// Index into the store's columns; stable until destroy(), then recycled.
+/// Index into the store's columns: the tag's creation index.
 using TagSlot = std::uint32_t;
-
-inline constexpr TagSlot kInvalidSlot = 0xFFFFFFFFu;
 
 class TagStore {
  public:
@@ -34,27 +29,12 @@ class TagStore {
   /// million-tag populations).
   void reserve(std::size_t tags);
 
-  /// Add a tag; returns its slot (recycled from the free-list when one is
-  /// available, else appended). Service state starts zeroed.
-  TagSlot create(std::uint32_t id, double x, double y,
-                 double orientation_rad, double energy_j = 0.0);
+  /// Append a tag; returns its slot. Service state starts zeroed.
+  TagSlot create(double x, double y, double orientation_rad,
+                 double energy_j = 0.0);
 
-  /// Recycle `slot`. The columns keep their size; the slot goes on the
-  /// free-list and alive(slot) turns false.
-  void destroy(TagSlot slot);
-
-  [[nodiscard]] bool alive(TagSlot slot) const {
-    return slot < alive_.size() && alive_[slot] != 0;
-  }
-  /// Live tags.
-  [[nodiscard]] std::size_t size() const { return live_; }
-  /// Column length (live + free slots). Dense populations: slots == size.
-  [[nodiscard]] std::size_t slots() const { return alive_.size(); }
-
-  /// Zero the MAC/session columns (read flags, first-read instants,
-  /// delivered bits, polls) without touching poses or energy — the
-  /// between-runs reset.
-  void reset_service();
+  /// Tags created so far (the length of every column).
+  [[nodiscard]] std::size_t slots() const { return x_.size(); }
 
   // --- Pose columns -----------------------------------------------------
   [[nodiscard]] const double* xs() const { return x_.data(); }
@@ -66,16 +46,10 @@ class TagStore {
     x_[slot] = x;
     y_[slot] = y;
   }
-  void set_orientation(TagSlot slot, double orientation_rad) {
-    orientation_[slot] = orientation_rad;
-  }
 
   // --- Energy column ----------------------------------------------------
   [[nodiscard]] const double* energies() const { return energy_.data(); }
   [[nodiscard]] double* energies() { return energy_.data(); }
-
-  // --- Identity column --------------------------------------------------
-  [[nodiscard]] const std::uint32_t* ids() const { return id_.data(); }
 
   // --- MAC/session columns (one writer per slot at a time) --------------
   [[nodiscard]] const std::uint8_t* read_flags() const {
@@ -98,14 +72,10 @@ class TagStore {
   std::vector<double> y_;
   std::vector<double> orientation_;
   std::vector<double> energy_;
-  std::vector<std::uint32_t> id_;
   std::vector<std::uint8_t> read_;
   std::vector<double> first_read_s_;
   std::vector<double> delivered_bits_;
   std::vector<long> polls_;
-  std::vector<std::uint8_t> alive_;
-  std::vector<TagSlot> free_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace mmtag::scale

@@ -1,9 +1,10 @@
 #include "src/scale/world.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "src/impair/loss.hpp"
@@ -18,6 +19,13 @@ namespace {
 /// 53-bit mantissa uniform in [0, 1) from raw hash bits.
 inline double unit_double(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+const MetroConfig& validated(const MetroConfig& config) {
+  if (config.readers_x < 1 || config.readers_y < 1) {
+    throw std::invalid_argument("MetroConfig: reader grid must be >= 1 x 1");
+  }
+  return config;
 }
 
 }  // namespace
@@ -51,12 +59,11 @@ struct MetroWorld::ReaderResult {
 };
 
 MetroWorld::MetroWorld(const MetroConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       index_(config.width_m, config.height_m, config.index_cell_m),
       model_(BatchLinkModel::from_budget(
           impair::impaired_budget(config.budget, config.impairments),
           phy::RateTable::mmtag_standard())) {
-  assert(config.readers_x > 0 && config.readers_y > 0);
   detect_range_m_ = std::sqrt(model_.detect_r2_m2);
   gather_radius_m_ = std::max(detect_range_m_, config.interference_radius_m);
   poll_base_ = sim::derive_seed(config.seed, 0x706F6C6CULL);  // "poll"
@@ -73,8 +80,7 @@ MetroWorld::MetroWorld(const MetroConfig& config)
         static_cast<double>(bits >> 32) * 0x1.0p-32 * config.height_m;
     const double orient =
         unit_double(sim::derive_seed(bits, 1)) * 6.283185307179586;
-    const TagSlot slot = store_.create(static_cast<std::uint32_t>(t), x, y,
-                                       orient, config.initial_energy_j);
+    const TagSlot slot = store_.create(x, y, orient, config.initial_energy_j);
     index_.insert(slot, x, y);
   }
   if (config.control_plane) {
@@ -198,12 +204,8 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
       // consumption) is a pure function of the candidate *set*.
       std::sort(cands.begin(), cands.end());
     } else {
-      cands.reserve(n_slots);
-      for (std::size_t s = 0; s < n_slots; ++s) {
-        if (store_.alive(static_cast<TagSlot>(s))) {
-          cands.push_back(static_cast<TagSlot>(s));
-        }
-      }
+      cands.resize(n_slots);
+      std::iota(cands.begin(), cands.end(), TagSlot{0});
     }
     out.candidates = cands.size();
 
@@ -277,16 +279,17 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
   }
 
   // Feed the monitor what a metro coordinator actually observes: each
-  // reader's per-epoch report. A reader whose shard did not run reports
-  // nothing — zero successes — which is the miss evidence suspicion
-  // accrues on. Serial, post-merge, on
-  // the coordinating thread; end_epoch() draws the next epoch's serve
-  // decisions in fixed reader order.
+  // reader's per-epoch success count. A reader whose shard did not run
+  // reports nothing — zero successes — which is the miss evidence
+  // suspicion accrues on. Serial, post-merge, on the coordinating thread;
+  // end_epoch() draws the next epoch's serve decisions in fixed reader
+  // order.
   if (monitor_) {
+    std::vector<std::uint64_t> successes(results.size());
     for (std::size_t r = 0; r < results.size(); ++r) {
-      monitor_->record(r, results[r].polls, results[r].successes);
+      successes[r] = results[r].successes;
     }
-    monitor_->end_epoch();
+    monitor_->end_epoch(successes);
   }
 
   // --- Mobility phase: fixed-size chunks (thread-count independent),
@@ -312,7 +315,6 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
     const std::size_t hi = std::min(lo + kChunk, n_slots);
     for (std::size_t s = lo; s < hi; ++s) {
       const TagSlot slot = static_cast<TagSlot>(s);
-      if (!store_.alive(slot)) continue;
       const std::uint64_t bits = sim::derive_seed(
           move_base_, epochs_run_ * static_cast<std::uint64_t>(n_slots) + s);
       if (unit_double(bits) >= config_.move_fraction) continue;
@@ -358,7 +360,7 @@ MetroEpochStats MetroWorld::run_epoch(sim::ThreadPool& pool) {
 
 MetroStats MetroWorld::stats() const {
   MetroStats s;
-  s.tags = store_.size();
+  s.tags = store_.slots();
   s.readers = static_cast<std::size_t>(readers());
   s.epochs = epochs_run_;
   s.detected = detected_total_;
@@ -369,7 +371,6 @@ MetroStats MetroWorld::stats() const {
   s.handoffs = handoffs_total_;
   const std::size_t n = store_.slots();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!store_.alive(static_cast<TagSlot>(i))) continue;
     s.tags_read += store_.read_flags()[i];
     s.delivered_bits += store_.delivered_bits()[i];
     s.energy_j += store_.energies()[i];
@@ -382,9 +383,9 @@ std::uint64_t MetroWorld::state_fingerprint() const {
   const std::size_t n = store_.slots();
   h.mix_u64(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const TagSlot slot = static_cast<TagSlot>(i);
-    h.mix_u64(store_.alive(slot) ? 1 : 0);
-    if (!store_.alive(slot)) continue;
+    // Every slot is live. The constant keeps the digest equal to
+    // perfbench's hard-gated 2dc66e999cc0627d and the other metro pins.
+    h.mix_u64(1);
     h.mix_double(store_.xs()[i]);
     h.mix_double(store_.ys()[i]);
     h.mix_double(store_.orientations()[i]);

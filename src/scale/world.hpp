@@ -82,7 +82,7 @@ struct MetroConfig {
   resil::DomainSchedule domains{};
   /// Attach the resilience control plane: a HealthMonitor infers each
   /// reader's health from the only evidence a coordinator has — the
-  /// per-epoch (polls, successes) report, where a down reader is silence.
+  /// per-epoch success count, where a down reader is silence (0).
   /// Suspected readers are skipped outside their probe epochs and their
   /// tags are re-homed to the nearest serving reader (which can actually
   /// reach them only if the grid spacing is inside detect range). Off
@@ -139,6 +139,9 @@ struct MetroStats {
 
 class MetroWorld {
  public:
+  /// Throws std::invalid_argument on a reader grid below 1 x 1, a
+  /// non-positive index cell, or a probe interval below 1 with the
+  /// control plane on.
   explicit MetroWorld(const MetroConfig& config);
 
   /// Advance one epoch (discovery, polling, harvest, mobility) on `pool`.

@@ -275,7 +275,7 @@ FaultSchedule ten_percent_outage_schedule() {
 TEST(FleetResilience, RecoveryBeatsNoRecoveryUnderTenPercentOutages) {
   deploy::FleetConfig off = chaos_fleet();
   off.faults = ten_percent_outage_schedule();
-  off.recovery.reassign_orphans = false;
+  off.reassign_orphans = false;
   const deploy::FleetResult no_recovery = deploy::FleetSimulator(off).run();
 
   deploy::FleetConfig on = chaos_fleet();

@@ -128,7 +128,7 @@ TEST(ImpairStages, ChainAppliesRxStagesInFixedOrder) {
   const IqImbalanceStage iq(config.iq);
   const AdcStage adc(config.adc);
   pn.apply(manual, seed);
-  iq.apply(manual, seed);
+  iq.apply(manual);
   adc.apply(manual, seed);
   for (std::size_t i = 0; i < manual.size(); ++i) {
     EXPECT_EQ(via_chain[i], manual[i]) << "sample " << i;
@@ -178,7 +178,7 @@ TEST(ImpairStages, DisabledStageIsANoOp) {
   AdcParams adc_off;
   const AdcStage adc(adc_off);
   phy::Waveform wave = base;
-  pa.apply(wave, 1);
+  pa.apply(wave);
   adc.apply(wave, 1);
   EXPECT_EQ(wave, base);
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/phy/rate_table.hpp"
 #include "src/scale/epoch_batch.hpp"
@@ -68,7 +69,7 @@ TEST(EpochBatcher, SlabResultsMatchScalarReference) {
   for (int i = 0; i < 64; ++i) {
     const double x = 0.3 * i;
     const double y = 0.1 * i - 2.0;
-    slots.push_back(store.create(static_cast<std::uint32_t>(i), x, y, 0.0));
+    slots.push_back(store.create(x, y, 0.0));
   }
   EpochBatcher batcher;
   const BatchResult& batch = batcher.evaluate(store, slots, 3.0, 1.0, model);
@@ -210,6 +211,28 @@ TEST(MetroWorld, StatsFingerprintTracksState) {
   EXPECT_EQ(a.stats().fingerprint(), b.stats().fingerprint());
   EXPECT_EQ(a.state_fingerprint(), b.state_fingerprint());
   EXPECT_NE(a.state_fingerprint(), c.state_fingerprint());
+}
+
+TEST(MetroWorld, ReaderGridBelowOneByOneThrows) {
+  MetroConfig cfg = small_config();
+  cfg.readers_x = 0;
+  EXPECT_THROW(MetroWorld{cfg}, std::invalid_argument);
+  cfg = small_config();
+  cfg.readers_y = -1;
+  EXPECT_THROW(MetroWorld{cfg}, std::invalid_argument);
+}
+
+TEST(MetroWorld, NonPositiveIndexCellThrows) {
+  MetroConfig cfg = small_config();
+  cfg.index_cell_m = 0.0;
+  EXPECT_THROW(MetroWorld{cfg}, std::invalid_argument);
+}
+
+TEST(MetroWorld, ProbeIntervalBelowOneThrowsWithTheControlPlaneOn) {
+  MetroConfig cfg = small_config();
+  cfg.control_plane = true;
+  cfg.health.probe_interval_epochs = 0;
+  EXPECT_THROW(MetroWorld{cfg}, std::invalid_argument);
 }
 
 MetroConfig dense_config() {

@@ -1,9 +1,9 @@
 // Resilience control plane units (DESIGN.md Sec. 15): phi-accrual health
-// monitoring (including the cross-thread record path) and fault domains.
+// monitoring and fault domains.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
+#include <stdexcept>
 #include <vector>
 
 #include "src/obs/metrics.hpp"
@@ -17,8 +17,7 @@ namespace {
 
 TEST(HealthMonitor, CleanHistoryEntitySuspectedAfterOneSilentEpoch) {
   HealthMonitor monitor(2);
-  monitor.record(0, 10, 8);  // Entity 1 is silent: no report at all.
-  monitor.end_epoch();
+  monitor.end_epoch({8, 0});  // Entity 1 is silent: no report at all.
   EXPECT_FALSE(monitor.suspected(0));
   EXPECT_TRUE(monitor.suspected(1));
   // One miss against the floored healthy model: -log10(0.05) decades.
@@ -27,23 +26,16 @@ TEST(HealthMonitor, CleanHistoryEntitySuspectedAfterOneSilentEpoch) {
   EXPECT_EQ(monitor.suspected_count(), 1u);
 }
 
-TEST(HealthMonitor, ZeroSuccessesAgainstAttemptsIsAMissToo) {
-  HealthMonitor monitor(1);
-  monitor.record(0, 16, 0);
-  monitor.end_epoch();
-  EXPECT_TRUE(monitor.suspected(0));
-}
-
 TEST(HealthMonitor, ProbeCadenceServesEveryProbeIntervalEpochs) {
   HealthConfig config;
   config.probe_interval_epochs = 2;
   HealthMonitor monitor(1, config);
-  monitor.end_epoch();  // Silent: suspected, countdown 2 -> 1.
+  monitor.end_epoch({0});  // Silent: suspected, countdown 2 -> 1.
   EXPECT_TRUE(monitor.suspected(0));
   EXPECT_FALSE(monitor.should_serve(0));
-  monitor.end_epoch();  // Countdown 1 -> 0: probe epoch.
+  monitor.end_epoch({0});  // Countdown 1 -> 0: probe epoch.
   EXPECT_TRUE(monitor.should_serve(0));
-  monitor.end_epoch();  // Probe was silent: sit out again.
+  monitor.end_epoch({0});  // Probe was silent: sit out again.
   EXPECT_FALSE(monitor.should_serve(0));
   EXPECT_EQ(monitor.suspected_since(0), 1u);  // One continuous episode.
 }
@@ -55,10 +47,9 @@ TEST(HealthMonitor, SuccessOnTheProbeClearsSuspicion) {
         obs::Registry::instance().counter("resil.health.cleared").value();
   }
   HealthMonitor monitor(1);
-  monitor.end_epoch();       // Suspected.
+  monitor.end_epoch({0});  // Suspected.
   ASSERT_TRUE(monitor.suspected(0));
-  monitor.record(0, 4, 3);   // Recovery observed.
-  monitor.end_epoch();
+  monitor.end_epoch({3});  // Recovery observed.
   EXPECT_FALSE(monitor.suspected(0));
   EXPECT_TRUE(monitor.should_serve(0));
   EXPECT_EQ(monitor.phi(0), 0.0);
@@ -73,53 +64,27 @@ TEST(HealthMonitor, SuccessOnTheProbeClearsSuspicion) {
 TEST(HealthMonitor, NoisyEntityStillSuspectedWithinTwoMisses) {
   HealthMonitor monitor(1);
   // Teach the detector a lossy-but-alive history: miss, then success.
-  monitor.end_epoch();       // Miss: ewma 0 -> 0.2 (first of streak).
-  monitor.record(0, 8, 5);
-  monitor.end_epoch();       // Success: ewma 0.2 -> 0.16, cleared.
+  monitor.end_epoch({0});  // Miss: ewma 0 -> 0.2 (first of streak).
+  monitor.end_epoch({5});  // Success: ewma 0.2 -> 0.16, cleared.
   EXPECT_FALSE(monitor.suspected(0));
-  monitor.end_epoch();       // Miss 1: phi = -log10(0.16) ~ 0.80 < 1.
+  monitor.end_epoch({0});  // Miss 1: phi = -log10(0.16) ~ 0.80 < 1.
   EXPECT_FALSE(monitor.suspected(0));
   EXPECT_NEAR(monitor.phi(0), -std::log10(0.16), 1e-12);
-  monitor.end_epoch();       // Miss 2: ewma clamped at 0.3 -> phi ~ 1.05.
+  monitor.end_epoch({0});  // Miss 2: ewma clamped at 0.3 -> phi ~ 1.05.
   EXPECT_TRUE(monitor.suspected(0));
   EXPECT_NEAR(monitor.phi(0), 2.0 * -std::log10(0.3), 1e-12);
 }
 
-TEST(HealthMonitor, CrossThreadRecordsMatchTheSerialFingerprint) {
-  // The TSan-relevant path: record() from parallel workers, detection on
-  // the coordinating thread. Relaxed adds commute, so any interleaving
-  // must land on the serially-fed detection state bit for bit.
-  constexpr std::size_t kEntities = 8;
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 100;
-  HealthMonitor parallel_monitor(kEntities);
-  HealthMonitor serial_monitor(kEntities);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&parallel_monitor, epoch] {
-        for (int i = 0; i < kRounds; ++i) {
-          for (std::size_t e = 0; e < kEntities; ++e) {
-            // Entity 5 goes dark from epoch 1 onward.
-            const bool down = e == 5 && epoch >= 1;
-            parallel_monitor.record(e, 2, down ? 0 : 1);
-          }
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    for (std::size_t e = 0; e < kEntities; ++e) {
-      const bool down = e == 5 && epoch >= 1;
-      serial_monitor.record(e, 2ull * kThreads * kRounds,
-                            down ? 0 : 1ull * kThreads * kRounds);
-    }
-    parallel_monitor.end_epoch();
-    serial_monitor.end_epoch();
-  }
-  EXPECT_EQ(parallel_monitor.fingerprint(), serial_monitor.fingerprint());
-  EXPECT_TRUE(parallel_monitor.suspected(5));
-  EXPECT_FALSE(parallel_monitor.suspected(0));
+TEST(HealthMonitor, ProbeIntervalBelowOneThrows) {
+  HealthConfig config;
+  config.probe_interval_epochs = 0;
+  EXPECT_THROW(HealthMonitor(1, config), std::invalid_argument);
+}
+
+TEST(HealthMonitor, EndEpochWantsOneCountPerEntity) {
+  HealthMonitor monitor(2);
+  EXPECT_THROW(monitor.end_epoch({1}), std::invalid_argument);
+  EXPECT_EQ(monitor.epochs(), 0u);
 }
 
 // --- DomainSchedule ------------------------------------------------------
