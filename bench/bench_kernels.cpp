@@ -182,8 +182,8 @@ void add_backend_cases(bench::Harness& harness) {
     const kern::Kernels& k = kern::table(backend);
     const std::string suffix = backend_suffix(backend);
 
-    // Sync correlation inner loop: windowed mean removal + dot + energy,
-    // the per-offset work of sync.cpp's score_window.
+    // Sliding-correlation inner loop: windowed mean removal + dot +
+    // energy, the per-offset work of a preamble correlator.
     harness.add("corr_dot_4096_" + suffix, [&k](bench::CaseContext& ctx) {
       constexpr int kIters = 4'000;
       constexpr std::size_t kN = 4096;

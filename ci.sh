@@ -1,17 +1,19 @@
 #!/usr/bin/env sh
-# CI entry point: tier-1 verify in Release and Debug with warnings as
-# errors (test suite run twice: forced-scalar and auto SIMD dispatch), a
-# bench-smoke stage that exercises the JSON/compare pipeline plus the
-# kernel-backend determinism gate, an ASan+UBSan pass, chaos, traffic,
-# mesh, scale, resil and impair smoke stages driving the fault, net,
-# backhaul, metro, control-plane and impairment benches under the
-# sanitizers (plus a full-size
-# bench_d1_fleet compare gate for the SoA service rewire, and a check
-# that the bench count flags and examples/metro_world reject counts below 1
-# with exit 2), a TSan pass over the test suite for the code that still
-# shares state across threads (the GridIndex cost counters, the MetroWorld
-# shards and sim::ThreadPool), and a docs stage (skipped with a notice
-# when doxygen is absent).
+# CI entry point: tier-1 verify in Release and Debug with warnings as errors
+# (test suite run twice: forced-scalar and auto SIMD dispatch), a
+# reachability audit (every src/ function reaches a bench, example or
+# perfbench binary, or is allowlisted with its reason), a bench-smoke stage
+# that exercises the JSON/compare pipeline plus the kernel-backend
+# determinism gate, an ASan+UBSan pass, chaos, traffic, mesh, scale, resil
+# and impair smoke stages driving the fault, net, backhaul, metro,
+# control-plane and impairment benches under the sanitizers (plus a
+# full-size bench_d1_fleet compare gate for the SoA service rewire, and a
+# check that the bench count flags and examples/metro_world reject counts
+# below 1, --threshold rejects nan and negative values, and --compare
+# rejects an over-deep JSON file, each with exit 2), a TSan pass over the
+# test suite for the code that still shares state across threads (the
+# GridIndex cost counters, the MetroWorld shards and sim::ThreadPool), and a
+# docs stage (skipped with a notice when doxygen is absent).
 # Usage: ./ci.sh [extra ctest args...]
 set -eu
 
@@ -30,6 +32,9 @@ for config in Release Debug; do
     (cd "${build_dir}" && MMTAG_KERN="${kern}" ctest --output-on-failure -j "$@")
   done
 done
+
+echo "=== Reachability (gc-sections build, allowlist exact) ==="
+tools/reachability.sh build-ci-reach
 
 echo "=== Bench smoke (JSON schema + self-compare + kern determinism) ==="
 # Reduced-size runs through the full harness path: write a
@@ -59,7 +64,7 @@ cmake -B "${build_dir}" -S . \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "${build_dir}" -j --target mmtag_tests bench_d1_fleet \
   bench_d2_chaos bench_n1_traffic bench_m1_mesh bench_d3_metro \
-  bench_r1_resil bench_i1_impair metro_world
+  bench_r1_resil bench_i1_impair bench_c4_energy metro_world
 # Both dispatch modes under the sanitizers: the SIMD loadu/storeu edge
 # handling is exactly where ASan earns its keep.
 for kern in scalar auto; do
@@ -98,7 +103,7 @@ echo "=== Traffic smoke (net stack under ASan, JSON self-compare) ==="
   --compare "${out_dir}/BENCH_n1_traffic.json" --threshold 1.0 > /dev/null
 echo "traffic smoke OK: ${out_dir}/BENCH_n1_traffic.json"
 
-echo "=== Bench bad counts (rejected with exit 2, not an abort) ==="
+echo "=== Bench bad inputs (rejected with exit 2, not an abort) ==="
 # Counts below 1 once reached the layout, the SR session or the metro grid
 # as negative allocation sizes (exit 134), a zero-reader fleet (exit 139),
 # a division by zero (exit 136) or silent nan tables (exit 0). Every count
@@ -137,7 +142,31 @@ for bad in tags:0 tags:-5 epochs:0; do
     exit 1
   fi
 done
-echo "bench bad counts OK"
+# Under --threshold nan no regression test is ever true, so every compare
+# passed; a negative threshold was accepted too (both exited 0).
+for bad in nan -1; do
+  rc=0
+  "${build_dir}/bench/bench_c4_energy" --threshold "${bad}" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: bench_c4_energy --threshold ${bad} exited ${rc}, expected 2"
+    exit 1
+  fi
+done
+# A --compare file of 200000 '[' then 200000 ']' overflowed the recursive
+# JSON parser's stack (exit 139); the parser now caps the nesting depth.
+deep_json=$(mktemp)
+head -c 200000 /dev/zero | tr '\0' '[' > "${deep_json}"
+head -c 200000 /dev/zero | tr '\0' ']' >> "${deep_json}"
+rc=0
+"${build_dir}/bench/bench_c4_energy" --csv --warmup 0 --repeat 1 \
+  --compare "${deep_json}" > /dev/null 2>&1 || rc=$?
+rm -f "${deep_json}"
+if [ "${rc}" -ne 2 ]; then
+  echo "FAIL: bench_c4_energy --compare <200000-deep JSON> exited ${rc}, expected 2"
+  exit 1
+fi
+echo "bench bad inputs OK"
 
 echo "=== Mesh smoke (reader backhaul under ASan, JSON self-compare) ==="
 # The mesh bench self-checks backhaul-fingerprint determinism across
@@ -226,4 +255,4 @@ else
   echo "docs SKIPPED: doxygen not installed on this host"
 fi
 
-echo "=== CI OK: Release + Debug (-Werror, scalar+auto), bench smoke, ASan+UBSan, chaos smoke, traffic smoke, bench bad counts, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="
+echo "=== CI OK: Release + Debug (-Werror, scalar+auto), reachability, bench smoke, ASan+UBSan, chaos smoke, traffic smoke, bench bad inputs, mesh smoke, scale smoke, resil smoke, impair smoke, TSan, docs ==="

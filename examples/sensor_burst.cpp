@@ -12,7 +12,6 @@
 #include "src/channel/environment.hpp"
 #include "src/core/harvester.hpp"
 #include "src/core/tag.hpp"
-#include "src/net/fragmentation.hpp"
 #include "src/net/session.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"

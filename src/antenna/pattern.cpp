@@ -58,14 +58,4 @@ double HornPattern::gain_dbi(double angle_rad) const {
   return gain > floor_dbi_ ? gain : floor_dbi_;
 }
 
-SteeredPattern::SteeredPattern(std::shared_ptr<const Pattern> base,
-                               double boresight_rad)
-    : base_(std::move(base)), boresight_rad_(boresight_rad) {
-  assert(base_ != nullptr);
-}
-
-double SteeredPattern::gain_dbi(double angle_rad) const {
-  return base_->gain_dbi(angle_rad - boresight_rad_);
-}
-
 }  // namespace mmtag::antenna

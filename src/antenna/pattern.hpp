@@ -7,8 +7,6 @@
 // folded into the boresight gain figure.
 #pragma once
 
-#include <memory>
-
 namespace mmtag::antenna {
 
 /// Interface: azimuth power-gain pattern of a single radiator.
@@ -67,20 +65,6 @@ class HornPattern final : public Pattern {
   double boresight_dbi_;
   double hpbw_deg_;
   double floor_dbi_;
-};
-
-/// A pattern rotated so its boresight points at `boresight_rad`.
-class SteeredPattern final : public Pattern {
- public:
-  SteeredPattern(std::shared_ptr<const Pattern> base, double boresight_rad);
-
-  [[nodiscard]] double gain_dbi(double angle_rad) const override;
-
-  [[nodiscard]] double boresight_rad() const { return boresight_rad_; }
-
- private:
-  std::shared_ptr<const Pattern> base_;
-  double boresight_rad_;
 };
 
 }  // namespace mmtag::antenna

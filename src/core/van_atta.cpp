@@ -78,18 +78,12 @@ em::SwitchState VanAttaArray::switch_state(int n) const {
   return switch_states_[static_cast<std::size_t>(n)];
 }
 
-void VanAttaArray::set_mutual_coupling(antenna::CouplingMatrix coupling) {
-  assert(coupling.order() == config_.elements);
-  coupling_ = std::move(coupling);
-}
-
 Complex VanAttaArray::reradiated_field(double theta_in_rad,
                                        double theta_out_rad,
                                        double frequency_hz) const {
   // Vectorized signal flow:
-  //   incident pickup -> [mutual coupling] -> switch/feed coupling ->
-  //   mirrored line routing -> switch/feed coupling -> [mutual coupling]
-  //   -> far-field projection toward theta_out.
+  //   incident pickup -> switch/feed coupling -> mirrored line routing ->
+  //   switch/feed coupling -> far-field projection toward theta_out.
   const double k0 = phys::wavenumber_rad_per_m(frequency_hz);
   const double psi_in = k0 * geometry_.spacing_m() * std::sin(theta_in_rad);
   const double psi_out = k0 * geometry_.spacing_m() * std::sin(theta_out_rad);
@@ -103,7 +97,6 @@ Complex VanAttaArray::reradiated_field(double theta_in_rad,
   for (int n = 0; n < n_elems; ++n) {
     v[static_cast<std::size_t>(n)] = std::polar(1.0, -psi_in * n);
   }
-  if (coupling_) v = coupling_->apply(v);
 
   // Into the feeds (switch states gate each element)...
   for (int n = 0; n < n_elems; ++n) {
@@ -129,7 +122,6 @@ Complex VanAttaArray::reradiated_field(double theta_in_rad,
     y[static_cast<std::size_t>(n)] *= element_model_.feed_coupling(
         switch_states_[static_cast<std::size_t>(n)], frequency_hz);
   }
-  if (coupling_) y = coupling_->apply(y);
 
   // ... and projected onto the far field toward theta_out.
   Complex total(0.0, 0.0);

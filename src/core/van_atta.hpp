@@ -14,10 +14,8 @@
 #pragma once
 
 #include <complex>
-#include <optional>
 #include <vector>
 
-#include "src/antenna/mutual_coupling.hpp"
 #include "src/antenna/pattern.hpp"
 #include "src/antenna/ula.hpp"
 #include "src/em/patch_element.hpp"
@@ -66,15 +64,6 @@ class VanAttaArray {
   void set_switch(int n, em::SwitchState state);
 
   [[nodiscard]] em::SwitchState switch_state(int n) const;
-
-  /// Install an inter-element mutual-coupling matrix (applied once on
-  /// reception and once on re-radiation). Must match the element count.
-  /// Default: no coupling. Persymmetric matrices (any Toeplitz coupling)
-  /// preserve retrodirectivity — see tests.
-  void set_mutual_coupling(antenna::CouplingMatrix coupling);
-
-  /// Remove the coupling model.
-  void clear_mutual_coupling() { coupling_.reset(); }
 
   /// Complex re-radiated far-field amplitude for a unit plane wave incident
   /// from `theta_in`, observed at `theta_out`, at carrier `frequency_hz`
@@ -125,7 +114,6 @@ class VanAttaArray {
   antenna::UniformLinearArray geometry_;
   antenna::PatchPattern element_pattern_;
   std::vector<em::SwitchState> switch_states_;
-  std::optional<antenna::CouplingMatrix> coupling_;
 };
 
 }  // namespace mmtag::core

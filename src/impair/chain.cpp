@@ -22,8 +22,6 @@ void record_stage(obs::Counter& applies, std::size_t samples) {
 
 }  // namespace
 
-ImpairmentChain::ImpairmentChain() : ImpairmentChain(ImpairmentConfig::off()) {}
-
 ImpairmentChain::ImpairmentChain(const ImpairmentConfig& config)
     : config_(config),
       pa_(config.pa),
@@ -71,11 +69,6 @@ void ImpairmentChain::apply_rx(phy::Waveform& samples,
     static obs::Counter& calls = counter("impair.apply.rx");
     calls.add();
   }
-}
-
-void ImpairmentChain::apply(phy::Waveform& samples, std::uint64_t seed) const {
-  apply_tx(samples, seed);
-  apply_rx(samples, seed);
 }
 
 double ImpairmentChain::evm_squared_total() const {

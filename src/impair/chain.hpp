@@ -24,8 +24,6 @@ namespace mmtag::impair {
 /// The four-stage impairment pipeline, copyable and seed-pure.
 class ImpairmentChain {
  public:
-  /// Bypass chain (ImpairmentConfig::off()).
-  ImpairmentChain();
   /// Chain with the given stage parameters; derived constants are
   /// precomputed once here.
   explicit ImpairmentChain(const ImpairmentConfig& config);
@@ -43,9 +41,6 @@ class ImpairmentChain {
   /// Apply the enabled receive-side stages (phase noise, IQ, ADC) in
   /// their fixed order, in place.
   void apply_rx(phy::Waveform& samples, std::uint64_t seed) const;
-
-  /// apply_tx followed by apply_rx — the noiseless-channel composition.
-  void apply(phy::Waveform& samples, std::uint64_t seed) const;
 
   /// Sum of evm_squared() over the *enabled* stages — the joint
   /// small-signal distortion power against a unit-power signal.

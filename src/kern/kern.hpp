@@ -1,7 +1,7 @@
 /// \file
 /// \brief Vectorized DSP kernel layer with runtime CPU dispatch.
 ///
-/// Every sample-rate hot loop in the PHY (correlation, FFT butterflies,
+/// Every sample-rate hot loop in the PHY (FFT butterflies,
 /// FIR shaping, CRC, FM0/OOK demod) funnels through the function-pointer
 /// table returned by kern::dispatch(). The table is resolved once at
 /// startup from the host CPU (scalar / SSE4.2 / AVX2; NEON is a stub that

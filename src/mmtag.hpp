@@ -13,7 +13,6 @@
 
 // Circuit-level EM substrate.
 #include "src/em/impedance.hpp"
-#include "src/em/matching.hpp"
 #include "src/em/patch_element.hpp"
 #include "src/em/resonator.hpp"
 #include "src/em/switch_model.hpp"
@@ -21,7 +20,6 @@
 
 // Antennas and beams.
 #include "src/antenna/codebook.hpp"
-#include "src/antenna/mutual_coupling.hpp"
 #include "src/antenna/pattern.hpp"
 #include "src/antenna/phased_array.hpp"
 #include "src/antenna/ula.hpp"
@@ -31,7 +29,6 @@
 #include "src/channel/geometry.hpp"
 #include "src/channel/mobility.hpp"
 #include "src/channel/doppler.hpp"
-#include "src/channel/multipath.hpp"
 #include "src/channel/propagation.hpp"
 #include "src/channel/raytrace.hpp"
 
@@ -54,8 +51,6 @@
 #include "src/phy/rate_adaptation.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/phy/scrambler.hpp"
-#include "src/phy/sync.hpp"
-#include "src/phy/timing.hpp"
 #include "src/phy/waveform.hpp"
 
 // Reader.
@@ -80,9 +75,7 @@
 #include "src/mac/inventory.hpp"
 #include "src/mac/mimo_reader.hpp"
 #include "src/mac/polling.hpp"
-#include "src/mac/tdma.hpp"
 #include "src/net/arq.hpp"
-#include "src/net/fragmentation.hpp"
 #include "src/net/session.hpp"
 
 // Reader-backhaul mesh.

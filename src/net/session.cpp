@@ -1,10 +1,9 @@
 #include "src/net/session.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
-#include "src/net/fragmentation.hpp"
 #include "src/phy/ber.hpp"
 #include "src/phy/frame.hpp"
 
@@ -12,7 +11,10 @@ namespace mmtag::net {
 
 TransferSession::TransferSession(phy::RateTable rates, SessionConfig config)
     : rates_(std::move(rates)), config_(config) {
-  assert(config_.mtu_payload_bits > kFragmentHeaderBits);
+  if (config_.mtu_payload_bits <= kFragmentHeaderBits) {
+    throw std::invalid_argument(
+        "TransferSession: mtu_payload_bits must exceed the fragment header");
+  }
 }
 
 TransferSession TransferSession::mmtag_default() {

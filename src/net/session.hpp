@@ -11,6 +11,7 @@
 //   framing     ->  header/Manchester tax    (phy/frame + line code)
 #pragma once
 
+#include <cstddef>
 #include <optional>
 
 #include "src/net/arq.hpp"
@@ -19,8 +20,14 @@
 
 namespace mmtag::net {
 
+/// Bits of sequencing header (12-bit sequence number, 12-bit fragment
+/// count) each fragment carries inside its frame payload.
+inline constexpr std::size_t kFragmentHeaderBits = 24;
+
 struct SessionConfig {
-  std::size_t mtu_payload_bits = 256;  ///< Frame payload budget (w/ header).
+  /// Frame payload budget, fragment header included; must exceed
+  /// kFragmentHeaderBits.
+  std::size_t mtu_payload_bits = 256;
   ArqConfig arq;
   bool manchester = true;
 };
@@ -40,6 +47,8 @@ struct SessionReport {
 
 class TransferSession {
  public:
+  /// Throws std::invalid_argument when config.mtu_payload_bits leaves no
+  /// room for payload after the fragment header.
   TransferSession(phy::RateTable rates, SessionConfig config);
 
   /// The standard mmTag session: paper rate table, 256-bit MTU, Manchester.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <cstdlib>
@@ -149,6 +150,9 @@ bool Parser::apply(const Spec& spec, const char* value) {
     case Kind::kDouble: {
       const double parsed = std::strtod(value, &end);
       if (end == value || *end != '\0') return false;
+      // Under nan every "rel > threshold" test is false, so a compare
+      // would pass whatever it measured.
+      if (!std::isfinite(parsed) || parsed < 0.0) return false;
       *static_cast<double*>(spec.target) = parsed;
       return true;
     }

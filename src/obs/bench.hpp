@@ -67,6 +67,8 @@ class Parser {
   /// "bad value" error like a malformed one.
   void add_count(const char* name, int* target, const char* help);
   void add_uint64(const char* name, std::uint64_t* target, const char* help);
+  /// A finite double >= 0 (a tolerance or a ratio); nan, inf and negative
+  /// values are a "bad value" error like a malformed one.
   void add_double(const char* name, double* target, const char* help);
   void add_string(const char* name, std::string* target, const char* help);
 

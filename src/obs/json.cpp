@@ -277,6 +277,52 @@ class Parser {
     return true;
   }
 
+  bool parse_array(JsonValue& out) {
+    ++pos_;
+    out = JsonValue::array();
+    skip_ws();
+    if (consume(']')) return true;
+    while (true) {
+      JsonValue element;
+      skip_ws();
+      if (!parse_value(element)) return false;
+      out.push_back(std::move(element));
+      skip_ws();
+      if (consume(']')) return true;
+      if (!consume(',')) {
+        fail("expected ',' or ']'");
+        return false;
+      }
+    }
+  }
+
+  bool parse_object(JsonValue& out) {
+    ++pos_;
+    out = JsonValue::object();
+    skip_ws();
+    if (consume('}')) return true;
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!parse_string(key)) return false;
+      skip_ws();
+      if (!consume(':')) {
+        fail("expected ':'");
+        return false;
+      }
+      skip_ws();
+      JsonValue member;
+      if (!parse_value(member)) return false;
+      out.set(std::move(key), std::move(member));
+      skip_ws();
+      if (consume('}')) return true;
+      if (!consume(',')) {
+        fail("expected ',' or '}'");
+        return false;
+      }
+    }
+  }
+
   bool parse_value(JsonValue& out) {
     if (pos_ >= text_.size()) {
       fail("unexpected end of input");
@@ -301,49 +347,17 @@ class Parser {
         out = JsonValue(std::move(s));
         return true;
       }
-      case '[': {
-        ++pos_;
-        out = JsonValue::array();
-        skip_ws();
-        if (consume(']')) return true;
-        while (true) {
-          JsonValue element;
-          skip_ws();
-          if (!parse_value(element)) return false;
-          out.push_back(std::move(element));
-          skip_ws();
-          if (consume(']')) return true;
-          if (!consume(',')) {
-            fail("expected ',' or ']'");
-            return false;
-          }
-        }
-      }
+      case '[':
       case '{': {
-        ++pos_;
-        out = JsonValue::object();
-        skip_ws();
-        if (consume('}')) return true;
-        while (true) {
-          skip_ws();
-          std::string key;
-          if (!parse_string(key)) return false;
-          skip_ws();
-          if (!consume(':')) {
-            fail("expected ':'");
-            return false;
-          }
-          skip_ws();
-          JsonValue member;
-          if (!parse_value(member)) return false;
-          out.set(std::move(key), std::move(member));
-          skip_ws();
-          if (consume('}')) return true;
-          if (!consume(',')) {
-            fail("expected ',' or '}'");
-            return false;
-          }
+        if (depth_ == JsonValue::kMaxParseDepth) {
+          fail("nesting too deep");
+          return false;
         }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '[' ? parse_array(out) : parse_object(out);
+        --depth_;
+        return ok;
       }
       default:
         return parse_number(out);
@@ -353,6 +367,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays and objects open at pos_.
 };
 
 }  // namespace

@@ -78,6 +78,10 @@ class JsonValue {
   /// emit null (JSON has no inf/nan).
   [[nodiscard]] std::string dump(int indent = -1) const;
 
+  /// Arrays and objects nested deeper than this fail to parse ("nesting
+  /// too deep") instead of overflowing the parser's stack.
+  static constexpr int kMaxParseDepth = 256;
+
   /// Parse one JSON document. On failure returns nullopt and, when
   /// `error` is non-null, a human-readable reason with offset.
   [[nodiscard]] static std::optional<JsonValue> parse(std::string_view text,

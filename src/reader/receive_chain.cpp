@@ -82,23 +82,6 @@ ReceiveResult ReceiveChain::receive_impaired(
   return receive(impaired);
 }
 
-std::vector<ReceiveResult> ReceiveChain::receive_stream(
-    std::span<const phy::Complex> stream) const {
-  phy::SyncConfig sync_config;
-  sync_config.samples_per_symbol = params_.samples_per_symbol;
-  sync_config.manchester = params_.manchester;
-  const phy::FrameSynchronizer sync(sync_config);
-
-  std::vector<ReceiveResult> results;
-  for (const phy::SyncHit& hit : sync.find_all_frames(stream)) {
-    // Decode from the preamble start to the end of the stream; the frame
-    // parser stops at its own length field, so trailing samples (the next
-    // frame, noise) are harmless.
-    results.push_back(receive(stream.subspan(hit.offset_samples)));
-  }
-  return results;
-}
-
 phy::Waveform ReceiveChain::encode(const phy::TagFrame& frame,
                                    double modulation_depth_db) const {
   phy::BitVector bits = frame.serialize();

@@ -1,7 +1,6 @@
 #include "src/reader/scanner.hpp"
 
-#include <cassert>
-#include <cmath>
+#include <utility>
 
 #include "src/phys/units.hpp"
 
@@ -54,54 +53,6 @@ ScanResult BeamScanner::scan(const std::vector<antenna::Beam>& codebook,
       }
     }
     result.probes.push_back(std::move(probe));
-  }
-  return result;
-}
-
-ScanResult BeamScanner::hierarchical_scan(
-    const std::vector<std::vector<antenna::Beam>>& stages,
-    const core::MmTag& tag, const channel::Environment& env,
-    const phy::RateTable& rates, std::mt19937_64& rng) {
-  assert(!stages.empty());
-  ScanResult result;
-  // Stage 0: probe everything; later stages: only the previous winner's
-  // angular children.
-  antenna::Beam winner{};
-  bool have_winner = false;
-  for (std::size_t stage = 0; stage < stages.size(); ++stage) {
-    double best_excursion_w = 0.0;
-    int stage_best = -1;
-    std::vector<BeamProbe> stage_probes;
-    for (const antenna::Beam& beam : stages[stage]) {
-      if (have_winner) {
-        const double offset =
-            std::abs(beam.boresight_rad - winner.boresight_rad);
-        const double half_parent = phys::deg_to_rad(winner.width_deg) / 2.0;
-        if (offset > half_parent) continue;  // Not a child of the winner.
-      }
-      BeamProbe probe = probe_beam(beam, tag, env, rates, rng);
-      ++result.probes_used;
-      if (probe.tag_detected) {
-        const double excursion_w =
-            phys::dbm_to_watts(probe.reflect_power_dbm) -
-            phys::dbm_to_watts(probe.absorb_power_dbm);
-        if (excursion_w > best_excursion_w) {
-          best_excursion_w = excursion_w;
-          stage_best = static_cast<int>(stage_probes.size());
-        }
-      }
-      stage_probes.push_back(std::move(probe));
-    }
-    if (stage_best < 0) {
-      // Lost the tag at this refinement level; report what we have so far.
-      result.probes = std::move(stage_probes);
-      result.best_beam_index = -1;
-      return result;
-    }
-    winner = stage_probes[static_cast<std::size_t>(stage_best)].beam;
-    have_winner = true;
-    result.probes = std::move(stage_probes);
-    result.best_beam_index = stage_best;
   }
   return result;
 }

@@ -10,8 +10,8 @@
 // Sweeps (the hot path of every bench) run through the parallel engine:
 // measure_ber_sweep / measure_fer_sweep shard the SNR grid across a
 // ThreadPool with one deterministic RNG stream per point, so a sweep is
-// bit-identical for any thread count. The shared-rng& single-point entry
-// points remain for sequential callers; do not use them to build sweeps.
+// bit-identical for any thread count. measure_ber's shared-rng& entry point
+// remains for sequential callers; do not use it to build sweeps.
 #pragma once
 
 #include <cstdint>
@@ -98,12 +98,8 @@ class MonteCarloLink {
                                                  std::uint64_t seed) const;
 
   /// Frame error rate through the full receive chain at `snr_db`:
-  /// `frames` frames of `payload_bits` random payload each.
-  [[nodiscard]] double measure_fer(double snr_db, int frames,
-                                   std::size_t payload_bits,
-                                   std::mt19937_64& rng) const;
-
-  /// Self-seeded single FER point.
+  /// `frames` frames of `payload_bits` random payload each, on the RNG
+  /// stream `seed`.
   [[nodiscard]] FerMeasurement measure_fer_point(double snr_db, int frames,
                                                  std::size_t payload_bits,
                                                  std::uint64_t seed) const;
@@ -115,19 +111,10 @@ class MonteCarloLink {
       std::span<const double> snr_db, std::uint64_t base_seed,
       ThreadPool& pool) const;
 
-  /// Convenience overload on a default-sized pool (MMTAG_THREADS or
-  /// hardware concurrency).
-  [[nodiscard]] BerSweepResult measure_ber_sweep(
-      std::span<const double> snr_db, std::uint64_t base_seed) const;
-
   /// Frame-error-rate sweep with the same seeding discipline.
   [[nodiscard]] FerSweepResult measure_fer_sweep(
       std::span<const double> snr_db, int frames, std::size_t payload_bits,
       std::uint64_t base_seed, ThreadPool& pool) const;
-
-  [[nodiscard]] FerSweepResult measure_fer_sweep(
-      std::span<const double> snr_db, int frames, std::size_t payload_bits,
-      std::uint64_t base_seed) const;
 
   [[nodiscard]] const Params& params() const { return params_; }
 

@@ -1,5 +1,6 @@
 // ARQ and transfer-session tests (src/net/arq, src/net/session).
 #include <cmath>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,23 @@ TEST(Session, FragmentCountMatchesMtu) {
       session.analyze(link_with_power(-55.0), 10'000);
   // MTU 256 - 24 header = 232 chunk bits -> ceil(10000/232) = 44.
   EXPECT_EQ(report.frames_per_payload, 44u);
+}
+
+TEST(Session, MtuNotAboveFragmentHeaderThrows) {
+  // At kFragmentHeaderBits the chunk is 0 bits (analyze() would divide by
+  // it); below, the unsigned chunk size wraps.
+  for (const std::size_t mtu :
+       {std::size_t{0}, kFragmentHeaderBits - 1, kFragmentHeaderBits}) {
+    SessionConfig config;
+    config.mtu_payload_bits = mtu;
+    EXPECT_THROW(TransferSession(phy::RateTable::mmtag_standard(), config),
+                 std::invalid_argument)
+        << mtu;
+  }
+  SessionConfig config;
+  config.mtu_payload_bits = kFragmentHeaderBits + 1;
+  const TransferSession session(phy::RateTable::mmtag_standard(), config);
+  EXPECT_EQ(session.analyze(link_with_power(-55.0), 3).frames_per_payload, 3u);
 }
 
 TEST(Session, TransferTimeScalesWithPayload) {

@@ -121,6 +121,22 @@ TEST(Parser, CountBelowOneFailsWithExitCode2) {
   EXPECT_EQ(tags, 1);
 }
 
+TEST(Parser, NonFiniteOrNegativeThresholdFailsWithExitCode2) {
+  // Under nan no "rel > threshold" test is ever true, so every compare
+  // would pass; a negative tolerance is meaningless.
+  for (const char* bad : {"nan", "inf", "-inf", "-1", "-0.01"}) {
+    Parser parser("unit");
+    Argv argv({"bench_unit", "--threshold", bad});
+    EXPECT_FALSE(parser.parse(argv.argc(), argv.argv())) << bad;
+    EXPECT_EQ(parser.exit_code(), 2) << bad;
+    EXPECT_DOUBLE_EQ(parser.options().threshold, 0.25) << bad;
+  }
+  Parser parser("unit");
+  Argv argv({"bench_unit", "--threshold", "0"});
+  ASSERT_TRUE(parser.parse(argv.argc(), argv.argv()));
+  EXPECT_DOUBLE_EQ(parser.options().threshold, 0.0);
+}
+
 // --- Harness --------------------------------------------------------------
 
 Options quiet_options(int warmup = 0, int repeat = 3) {
@@ -191,6 +207,28 @@ JsonValue synthetic_report(const std::string& case_name, double median_ns) {
   cases.push_back(std::move(entry));
   doc.set("cases", std::move(cases));
   return doc;
+}
+
+TEST(ValidateReport, DeepNestingFailsToParseInsteadOfCrashing) {
+  // A --compare file of 200000 '[' then 200000 ']' once overflowed the
+  // recursive parser's stack.
+  const std::size_t deep = 200000;
+  std::string error;
+  EXPECT_FALSE(JsonValue::parse(std::string(deep, '[') + std::string(deep, ']'),
+                                &error)
+                   .has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+
+  const auto limit = static_cast<std::size_t>(JsonValue::kMaxParseDepth);
+  EXPECT_TRUE(JsonValue::parse(std::string(limit, '[') + std::string(limit, ']'),
+                               &error)
+                  .has_value())
+      << error;
+  std::string objects;
+  for (std::size_t i = 0; i <= limit; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(limit + 1, '}');
+  EXPECT_FALSE(JsonValue::parse(objects, &error).has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 TEST(ValidateReport, AcceptsMinimalValidDocument) {

@@ -48,29 +48,6 @@ TEST(UniformCodebook, BoresightsAreSortedAndInside) {
   }
 }
 
-TEST(HierarchicalCodebook, StagesRefine) {
-  const auto stages = hierarchical_codebook(
-      phys::deg_to_rad(-60.0), phys::deg_to_rad(60.0), 3, 4);
-  ASSERT_EQ(stages.size(), 3u);
-  EXPECT_EQ(stages[0].size(), 4u);
-  EXPECT_EQ(stages[1].size(), 16u);
-  EXPECT_EQ(stages[2].size(), 64u);
-  // Widths shrink by the refinement factor each stage.
-  EXPECT_NEAR(stages[0][0].width_deg / stages[1][0].width_deg, 4.0, 1e-9);
-}
-
-TEST(ProbeCounts, HierarchicalBeatsExhaustive) {
-  const double lo = phys::deg_to_rad(-60.0);
-  const double hi = phys::deg_to_rad(60.0);
-  const auto stages = hierarchical_codebook(lo, hi, 3, 4);
-  const auto& finest = stages.back();
-  const int exhaustive = exhaustive_probe_count(finest);
-  const int hierarchical = hierarchical_probe_count(stages);
-  EXPECT_EQ(exhaustive, 64);
-  EXPECT_EQ(hierarchical, 4 + 4 + 4);
-  EXPECT_LT(hierarchical, exhaustive);
-}
-
 // Property: for any beamwidth, adjacent uniform beams are spaced by at most
 // one beamwidth (no holes).
 class CodebookSpacingTest : public ::testing::TestWithParam<double> {};

@@ -82,21 +82,6 @@ TEST_F(ScannerFixture, ExhaustiveScanFindsTheTagBeam) {
             0.0);
 }
 
-TEST_F(ScannerFixture, HierarchicalScanAgreesWithFewerProbes) {
-  const auto stages = antenna::hierarchical_codebook(
-      phys::deg_to_rad(-60.0), phys::deg_to_rad(60.0), 2, 4);
-  const ScanResult coarse_fine =
-      scanner_.hierarchical_scan(stages, tag_, env_, rates_, rng_);
-  ASSERT_TRUE(coarse_fine.found_tag());
-  // 4 coarse + 4 children < 16 exhaustive.
-  EXPECT_LE(coarse_fine.probes_used, 8);
-  const double winner_deg = phys::rad_to_deg(
-      coarse_fine
-          .probes[static_cast<std::size_t>(coarse_fine.best_beam_index)]
-          .beam.boresight_rad);
-  EXPECT_NEAR(winner_deg, 26.6, 8.0);
-}
-
 TEST_F(ScannerFixture, NoTagInSectorFindsNothing) {
   // Scan the wrong half-plane: the tag sits at +26 deg; scan [-60,-20].
   const auto codebook = antenna::uniform_codebook(

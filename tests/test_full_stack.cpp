@@ -1,9 +1,7 @@
-// Full-stack integration tests across the newest layers: frame sync over
-// the air, sessions on scenario timelines, 60 GHz retuning, and the
-// umbrella header.
+// Full-stack integration tests across the newest layers: sessions on
+// scenario timelines, 60 GHz retuning, and the umbrella header.
 #include "src/mmtag.hpp"
 
-#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -11,42 +9,7 @@
 namespace mmtag {
 namespace {
 
-// Stack slice 1: scan -> link -> *unaligned* stream at the link's SNR and
-// the tag's real modulation depth -> preamble sync -> frame. The most
-// realistic single-frame reception the library can express.
-TEST(FullStack, UnalignedStreamAtLinkOperatingPoint) {
-  auto rng = sim::make_rng(201);
-  const auto rates = phy::RateTable::mmtag_standard();
-  const core::MmTag tag = core::MmTag::prototype_at(
-      core::Pose{{0.0, 0.0}, 0.0}, 55);
-  const auto reader = reader::MmWaveReader::prototype_at(
-      core::Pose{{phys::feet_to_m(3.0), 0.0}, phys::kPi});
-  const auto link = reader.evaluate_link(tag, channel::Environment{}, rates);
-  ASSERT_GT(link.achievable_rate_bps, 0.0);
-  const auto tier = rates.best_tier(link.received_power_dbm);
-  const double snr_db = link.received_power_dbm -
-                        rates.noise().power_dbm(tier->bandwidth_hz);
-
-  const reader::ReceiveChain chain(reader::ReceiveChain::Params{8, true});
-  phy::TagFrame frame;
-  frame.tag_id = tag.id();
-  frame.payload = phy::BitVector(96, true);
-  const phy::Waveform body = chain.encode(frame, link.modulation_depth_db);
-
-  phy::Waveform stream(517, phy::Complex(0.0, 0.0));  // Unaligned start.
-  stream.insert(stream.end(), body.begin(), body.end());
-  stream.insert(stream.end(), 400, phy::Complex(0.0, 0.0));
-  phy::add_awgn(stream, phy::noise_power_for_snr(phy::mean_power(body),
-                                                 snr_db),
-                rng);
-
-  const auto results = chain.receive_stream(stream);
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].frame.has_value());
-  EXPECT_EQ(results[0].frame->tag_id, 55u);
-}
-
-// Stack slice 2: run a scenario, then ask the session layer what each
+// Stack slice 1: run a scenario, then ask the session layer what each
 // timeline step is worth — connecting mobility to goodput.
 TEST(FullStack, ScenarioTimelineFeedsSessionAnalysis) {
   sim::LinkScenario scenario(
@@ -73,7 +36,7 @@ TEST(FullStack, ScenarioTimelineFeedsSessionAnalysis) {
   EXPECT_LT(last_goodput, best_goodput);
 }
 
-// Stack slice 3: the footnote-3 retune — a 60 GHz Van Atta behaves like
+// Stack slice 2: the footnote-3 retune — a 60 GHz Van Atta behaves like
 // the 24 GHz one, scaled.
 TEST(FullStack, SixtyGHzVanAttaRetune) {
   core::VanAttaArray::Config config;
@@ -104,38 +67,6 @@ TEST(FullStack, SixtyGHzVanAttaRetune) {
               core::VanAttaArray::mmtag_prototype().geometry().spacing_m() *
                   6.0 / 2.5,
               1e-3);
-}
-
-// Stack slice 4: fragmentation + ARQ deliver a multi-frame payload over a
-// simulated lossy link, end to end with real frame drops.
-TEST(FullStack, FragmentedTransferOverLossyFrames) {
-  auto rng = sim::make_rng(203);
-  std::bernoulli_distribution coin(0.5);
-  phy::BitVector payload(3000);
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = coin(rng);
-
-  const auto frames = net::fragment_payload(9, payload, 256);
-  ASSERT_GT(frames.size(), 10u);
-
-  // Each frame transmission survives with p = 0.7; stop-and-wait retries.
-  std::uniform_real_distribution<double> uniform(0.0, 1.0);
-  net::Reassembler reassembler;
-  long transmissions = 0;
-  for (const auto& frame : frames) {
-    for (int attempt = 0; attempt < 16; ++attempt) {
-      ++transmissions;
-      if (uniform(rng) < 0.7) {
-        ASSERT_TRUE(reassembler.accept(frame));
-        break;
-      }
-    }
-  }
-  ASSERT_TRUE(reassembler.complete());
-  EXPECT_EQ(*reassembler.payload(), payload);
-  // Retransmission count is near the geometric expectation 1/0.7.
-  const double per_frame =
-      static_cast<double>(transmissions) / static_cast<double>(frames.size());
-  EXPECT_NEAR(per_frame, 1.0 / 0.7, 0.45);
 }
 
 }  // namespace

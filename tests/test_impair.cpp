@@ -60,11 +60,12 @@ TEST(ImpairBypass, OffConfigDrawsNothingAndMatchesLegacyBer) {
 }
 
 TEST(ImpairBypass, ChainLeavesWaveformUntouched) {
-  const ImpairmentChain chain;  // off()
+  const ImpairmentChain chain(ImpairmentConfig::off());
   EXPECT_FALSE(chain.enabled());
   const phy::Waveform original = test_wave(257, 5);
   phy::Waveform wave = original;
-  chain.apply(wave, 123);
+  chain.apply_tx(wave, 123);
+  chain.apply_rx(wave, 123);
   for (std::size_t i = 0; i < wave.size(); ++i) {
     EXPECT_EQ(wave[i], original[i]) << "sample " << i;
   }
@@ -78,7 +79,7 @@ TEST(ImpairBypass, ReceiveImpairedEqualsReceive) {
   frame.payload = {1, 0, 1, 1, 0, 0, 1, 0};
   const phy::Waveform wave = rx.encode(frame);
 
-  const ImpairmentChain bypass;
+  const ImpairmentChain bypass(ImpairmentConfig::off());
   const auto plain = rx.receive(wave);
   const auto impaired = rx.receive_impaired(wave, bypass, 42);
   ASSERT_TRUE(plain.frame.has_value());

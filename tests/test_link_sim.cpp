@@ -37,10 +37,9 @@ TEST(MonteCarloLink, BerMonotoneInSnr) {
 }
 
 TEST(MonteCarloLink, FrameErrorRateEdges) {
-  auto rng = make_rng(64);
   const MonteCarloLink link{MonteCarloLink::Params{}};
-  EXPECT_DOUBLE_EQ(link.measure_fer(30.0, 20, 96, rng), 0.0);
-  EXPECT_GT(link.measure_fer(-10.0, 20, 96, rng), 0.9);
+  EXPECT_DOUBLE_EQ(link.measure_fer_point(30.0, 20, 96, 64).fer(), 0.0);
+  EXPECT_GT(link.measure_fer_point(-10.0, 20, 96, 65).fer(), 0.9);
 }
 
 TEST(MonteCarloLink, EnvelopeDetectionCostsSnr) {

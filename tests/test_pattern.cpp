@@ -1,8 +1,6 @@
 // Radiation-pattern tests (src/antenna/pattern).
 #include "src/antenna/pattern.hpp"
 
-#include <memory>
-
 #include <gtest/gtest.h>
 
 #include "src/phys/constants.hpp"
@@ -56,15 +54,6 @@ TEST(Horn, ReaderHornMatchesPrototype) {
   const HornPattern horn = HornPattern::mmtag_reader_horn();
   EXPECT_DOUBLE_EQ(horn.boresight_gain_dbi(), 20.0);
   EXPECT_DOUBLE_EQ(horn.half_power_beamwidth_deg(), 18.0);
-}
-
-TEST(Steered, ShiftsBoresight) {
-  auto base = std::make_shared<HornPattern>(20.0, 18.0);
-  const double steer = phys::deg_to_rad(30.0);
-  const SteeredPattern steered(base, steer);
-  EXPECT_DOUBLE_EQ(steered.gain_dbi(steer), 20.0);
-  EXPECT_NEAR(steered.gain_dbi(steer + phys::deg_to_rad(9.0)), 17.0, 1e-9);
-  EXPECT_LT(steered.gain_dbi(0.0), 10.0);
 }
 
 TEST(Pattern, AmplitudeIsSqrtOfLinearGain) {
