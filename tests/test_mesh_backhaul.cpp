@@ -12,6 +12,7 @@
 #include "src/deploy/coordinator.hpp"
 #include "src/deploy/fleet.hpp"
 #include "src/deploy/layout.hpp"
+#include "src/fault/schedule.hpp"
 #include "src/mesh/topology.hpp"
 #include "src/reader/reader.hpp"
 #include "src/sim/parallel.hpp"
@@ -174,6 +175,52 @@ TEST(BackhaulSimulator, RepeatedRunsAreBitIdentical) {
   const BackhaulReport a = BackhaulSimulator(config).run();
   const BackhaulReport b = BackhaulSimulator(config).run();
   EXPECT_EQ(fingerprint(a), fingerprint(b));
+}
+
+// --- Frozen fingerprints ---------------------------------------------------
+// The values bench_m1_mesh and perfbench's warehouse workload print at
+// seed 1. A change that moves either is a behaviour change, not a refactor.
+
+/// The geometry both share: a 64-reader grid at 4 m spacing with 1024
+/// tags, 3 epochs of 0.4 s, gateways at opposite corners, 6 m mesh range.
+BackhaulConfig pinned_backhaul() {
+  BackhaulConfig config;
+  config.fleet.layout.width_m = 32.0;
+  config.fleet.layout.height_m = 32.0;
+  config.fleet.layout.readers = 64;
+  config.fleet.layout.tags = 1024;
+  config.fleet.layout.seed = 1;
+  config.fleet.epochs = 3;
+  config.fleet.epoch_duration_s = 0.4;
+  config.fleet.seed = 1;
+  config.fleet.threads = 2;
+  config.topology.gateways = {0, 63};
+  config.topology.link.max_range_m = 6.0;
+  return config;
+}
+
+TEST(BackhaulSimulator, MeshBenchFingerprintIsFrozen) {
+  // bench_m1_mesh's mesh_determinism case: ~10% Poisson reader downtime
+  // plus the gateway's row and column mates (readers 1 and 8) down for
+  // epochs 1-2.
+  BackhaulConfig config = pinned_backhaul();
+  config.fleet.faults.outages.rate_hz = 0.25;
+  config.fleet.faults.outages.mean_duration_s = 0.4;
+  for (const int r : {1, 8}) {
+    config.fleet.faults.outages.scripted.push_back(
+        fault::ScriptedOutage{r, 0.4, 0.81});
+  }
+  EXPECT_EQ(fingerprint(BackhaulSimulator(config).run()),
+            0x2600362dde8d9cddULL);
+}
+
+TEST(BackhaulSimulator, PerfbenchWarehouseFingerprintIsFrozen) {
+  // perfbench warehouse, layout 0: chaos(0.5) and 5% mobile tags.
+  BackhaulConfig config = pinned_backhaul();
+  config.fleet.faults = fault::FaultSchedule::chaos(0.5);
+  config.fleet.mobile_fraction = 0.05;
+  EXPECT_EQ(fingerprint(BackhaulSimulator(config).run()),
+            0x45705499cce3ce60ULL);
 }
 
 }  // namespace
