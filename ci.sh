@@ -108,9 +108,12 @@ echo "=== Bench bad inputs (rejected with exit 2, not an abort) ==="
 # as negative allocation sizes (exit 134), a zero-reader fleet (exit 139),
 # a division by zero (exit 136) or silent nan tables (exit 0). Every count
 # flag is registered with bench::Parser::add_count, which rejects them
-# through the parser's bad-value path. Under the sanitizers any crash also
-# surfaces as an exit code other than 2.
+# through the parser's bad-value path. --threads above sim::kMaxThreads
+# (1024) once asked the OS for that many threads; it takes the same path.
+# Under the sanitizers any crash also surfaces as an exit code other
+# than 2.
 for bad in n1_traffic:packets:-5 n1_traffic:flows:-3 n1_traffic:tags:-1 \
+    e4_ber:threads:1025 d1_fleet:threads:100000 \
     d1_fleet:readers:0 d1_fleet:tags:0 d1_fleet:epochs:0 \
     d2_chaos:readers:0 d2_chaos:tags:0 d2_chaos:epochs:0 \
     d3_metro:tags:0 d3_metro:margin-tags:0 d3_metro:epochs:0 d3_metro:grid:0 \

@@ -1,62 +1,23 @@
 #include "src/antenna/phased_array.hpp"
 
 #include <cassert>
-#include <cmath>
-
-#include "src/phys/constants.hpp"
-#include "src/phys/units.hpp"
 
 namespace mmtag::antenna {
 
-PhasedArray::PhasedArray(Params params, double frequency_hz)
-    : params_(params),
-      array_(UniformLinearArray::half_wavelength(params.elements,
-                                                 frequency_hz)),
-      element_(params.element_gain_dbi),
-      weights_(uniform_weights(params.elements)) {
+PhasedArray::PhasedArray(Params params) : params_(params) {
   assert(params_.elements >= 1);
-  assert(params_.phase_bits >= 0);
 }
 
 PhasedArray PhasedArray::typical_24ghz(int elements) {
   Params p;
   p.elements = elements;
-  return PhasedArray(p, phys::kMmTagCarrierHz);
+  return PhasedArray(p);
 }
-
-void PhasedArray::steer_to(double angle_rad) {
-  steer_rad_ = angle_rad;
-  weights_ = quantize_phases(array_.steering_weights(angle_rad),
-                             params_.phase_bits);
-}
-
-double PhasedArray::gain_dbi(double angle_rad) const {
-  return array_.array_gain_db(weights_, angle_rad) +
-         element_.gain_dbi(angle_rad);
-}
-
-double PhasedArray::peak_gain_dbi() const { return gain_dbi(steer_rad_); }
 
 double PhasedArray::dc_power_w() const {
   return params_.static_power_w +
          params_.elements *
              (params_.phase_shifter_power_w + params_.frontend_power_w);
-}
-
-std::vector<Complex> quantize_phases(std::span<const Complex> weights,
-                                     int bits) {
-  std::vector<Complex> out(weights.begin(), weights.end());
-  if (bits <= 0) return out;
-  const double levels = std::pow(2.0, bits);
-  const double step = phys::kTwoPi / levels;
-  for (Complex& w : out) {
-    const double mag = std::abs(w);
-    if (mag == 0.0) continue;
-    const double phase = std::arg(w);
-    const double quantized = std::round(phase / step) * step;
-    w = std::polar(mag, quantized);
-  }
-  return out;
 }
 
 }  // namespace mmtag::antenna

@@ -1,19 +1,10 @@
-// Electronically-steered phased array with quantized phase shifters and a
-// power-consumption model.
+// Power-consumption model of an electronically steered phased array.
 //
 // The paper's argument *against* phased arrays on the tag (Secs. 1, 3, 5)
-// is that they are costly and burn watts. We implement one anyway — the
-// reader may use it instead of a mechanically swept horn, the "active
-// mmWave radio" baseline of experiment C4 needs its power numbers, and
-// having it lets the benches quantify exactly the cost the paper says the
-// Van Atta design avoids.
+// is that they are costly and burn watts. The "active mmWave radio"
+// baseline of experiment C4 prices one by its DC power, which quantifies
+// exactly the cost the paper says the Van Atta design avoids.
 #pragma once
-
-#include <span>
-#include <vector>
-
-#include "src/antenna/pattern.hpp"
-#include "src/antenna/ula.hpp"
 
 namespace mmtag::antenna {
 
@@ -21,55 +12,26 @@ class PhasedArray {
  public:
   struct Params {
     int elements = 16;
-    /// Phase-shifter resolution in bits; 0 means ideal (continuous) phase.
-    int phase_bits = 4;
     /// Power drawn by each phase shifter while biased [W].
     double phase_shifter_power_w = 0.015;
     /// Power of each per-element front-end (LNA or PA driver) [W].
     double frontend_power_w = 0.040;
     /// Static power of the beamforming network / bias tree [W].
     double static_power_w = 0.25;
-    /// Boresight gain of each element [dBi].
-    double element_gain_dbi = 5.0;
   };
 
-  PhasedArray(Params params, double frequency_hz);
+  explicit PhasedArray(Params params);
 
   /// A 16-element 24 GHz array with component powers in line with the
   /// few-watt figure the paper cites for commercial phased arrays.
   [[nodiscard]] static PhasedArray typical_24ghz(int elements = 16);
 
-  /// Steer the beam to `angle_rad`; weights are phase-quantized to
-  /// `phase_bits` (no quantization when phase_bits == 0).
-  void steer_to(double angle_rad);
-
-  /// Total power gain toward azimuth `angle_rad` with the current steering,
-  /// element pattern included [dBi].
-  [[nodiscard]] double gain_dbi(double angle_rad) const;
-
-  /// Peak gain at the current steering angle [dBi].
-  [[nodiscard]] double peak_gain_dbi() const;
-
   /// Total DC power consumed while the array is active [W]. This is the
   /// number experiment C4 compares against the tag's switch-toggle energy.
   [[nodiscard]] double dc_power_w() const;
 
-  [[nodiscard]] double steer_angle_rad() const { return steer_rad_; }
-  [[nodiscard]] const Params& params() const { return params_; }
-  [[nodiscard]] const UniformLinearArray& array() const { return array_; }
-  [[nodiscard]] std::span<const Complex> weights() const { return weights_; }
-
  private:
   Params params_;
-  UniformLinearArray array_;
-  PatchPattern element_;
-  std::vector<Complex> weights_;
-  double steer_rad_ = 0.0;
 };
-
-/// Quantize the phase of each weight to `bits` bits over [0, 2*pi).
-/// `bits` == 0 returns the weights unchanged (ideal shifters).
-[[nodiscard]] std::vector<Complex> quantize_phases(
-    std::span<const Complex> weights, int bits);
 
 }  // namespace mmtag::antenna

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 
 namespace mmtag::antenna {
@@ -27,24 +26,6 @@ double UniformLinearArray::element_phase_rad(double angle_rad) const {
   return k0 * spacing_m_ * std::sin(angle_rad);
 }
 
-std::vector<Complex> UniformLinearArray::steering_vector(
-    double angle_rad) const {
-  const double psi = element_phase_rad(angle_rad);
-  std::vector<Complex> a(static_cast<std::size_t>(elements_));
-  for (int n = 0; n < elements_; ++n) {
-    a[static_cast<std::size_t>(n)] = std::polar(1.0, -psi * n);
-  }
-  return a;
-}
-
-std::vector<Complex> UniformLinearArray::steering_weights(
-    double angle_rad) const {
-  std::vector<Complex> w = steering_vector(angle_rad);
-  const double norm = 1.0 / std::sqrt(static_cast<double>(elements_));
-  for (Complex& wn : w) wn = std::conj(wn) * norm;
-  return w;
-}
-
 Complex UniformLinearArray::array_factor(std::span<const Complex> weights,
                                          double angle_rad) const {
   assert(static_cast<int>(weights.size()) == elements_);
@@ -54,79 +35,6 @@ Complex UniformLinearArray::array_factor(std::span<const Complex> weights,
     af += weights[static_cast<std::size_t>(n)] * std::polar(1.0, -psi * n);
   }
   return af;
-}
-
-double UniformLinearArray::array_gain_db(std::span<const Complex> weights,
-                                         double angle_rad) const {
-  const double power = std::norm(array_factor(weights, angle_rad));
-  constexpr double kFloorDb = -100.0;
-  if (power <= 1e-10) return kFloorDb;
-  return phys::ratio_to_db(power);
-}
-
-double UniformLinearArray::directivity_db(
-    std::span<const Complex> weights) const {
-  // Average |AF|^2 over the full azimuth circle, then report the peak over
-  // the average. 1 deg steps are plenty for arrays of < 1000 elements.
-  constexpr int kSteps = 2048;
-  double peak = 0.0;
-  double sum = 0.0;
-  for (int i = 0; i < kSteps; ++i) {
-    const double theta = -phys::kPi + phys::kTwoPi * i / kSteps;
-    const double p = std::norm(array_factor(weights, theta));
-    sum += p;
-    if (p > peak) peak = p;
-  }
-  const double average = sum / kSteps;
-  assert(average > 0.0);
-  return phys::ratio_to_db(peak / average);
-}
-
-double UniformLinearArray::half_power_beamwidth_deg(
-    std::span<const Complex> weights, double steer_rad) const {
-  const double peak_power = std::norm(array_factor(weights, steer_rad));
-  assert(peak_power > 0.0);
-  const double half_power = peak_power / 2.0;
-
-  // March outward from the steer angle on each side until |AF|^2 drops below
-  // half power, then bisect for the exact crossing.
-  const auto power_at = [&](double theta) {
-    return std::norm(array_factor(weights, theta));
-  };
-  const auto find_crossing = [&](double direction) {
-    const double step = phys::deg_to_rad(0.05);
-    double theta = steer_rad;
-    const double limit = phys::kPi / 2.0;
-    while (std::abs(theta - steer_rad) < limit) {
-      const double next = theta + direction * step;
-      if (power_at(next) < half_power) {
-        // Bisection between theta and next.
-        double lo = theta;
-        double hi = next;
-        for (int i = 0; i < 40; ++i) {
-          const double mid = (lo + hi) / 2.0;
-          if (power_at(mid) >= half_power) {
-            lo = mid;
-          } else {
-            hi = mid;
-          }
-        }
-        return (lo + hi) / 2.0;
-      }
-      theta = next;
-    }
-    return theta;  // No crossing within the visible region (very broad beam).
-  };
-
-  const double left = find_crossing(-1.0);
-  const double right = find_crossing(+1.0);
-  return phys::rad_to_deg(right - left);
-}
-
-double UniformLinearArray::broadside_hpbw_estimate_deg() const {
-  const double lambda = phys::wavelength_m(frequency_hz_);
-  const double aperture = elements_ * spacing_m_;
-  return phys::rad_to_deg(0.886 * lambda / aperture);
 }
 
 std::vector<Complex> uniform_weights(int n) {

@@ -41,8 +41,4 @@ double SpecularPlate::monostatic_gain_db(double theta_rad) const {
   return phys::ratio_to_db(power);
 }
 
-double SpecularPlate::reflection_direction_rad(double theta_in_rad) {
-  return -theta_in_rad;
-}
-
 }  // namespace mmtag::baselines

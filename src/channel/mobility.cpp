@@ -44,19 +44,4 @@ double WaypointMobility::total_duration_s() const {
   return arrival_times_.back();
 }
 
-OrbitMobility::OrbitMobility(Vec2 center, double radius_m,
-                             double angular_rate_rad_per_s,
-                             double start_angle_rad)
-    : center_(center),
-      radius_(radius_m),
-      rate_(angular_rate_rad_per_s),
-      start_angle_(start_angle_rad) {
-  assert(radius_ > 0.0);
-}
-
-Vec2 OrbitMobility::position(double t_s) const {
-  const double angle = start_angle_ + rate_ * t_s;
-  return center_ + Vec2{std::cos(angle), std::sin(angle)} * radius_;
-}
-
 }  // namespace mmtag::channel

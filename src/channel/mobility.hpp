@@ -64,20 +64,4 @@ class WaypointMobility final : public Mobility {
   std::vector<double> arrival_times_;  ///< Cumulative time at each waypoint.
 };
 
-/// Circular orbit around a centre — handy for sweeping incidence angles
-/// at constant range in the retrodirectivity benches.
-class OrbitMobility final : public Mobility {
- public:
-  OrbitMobility(Vec2 center, double radius_m, double angular_rate_rad_per_s,
-                double start_angle_rad = 0.0);
-
-  [[nodiscard]] Vec2 position(double t_s) const override;
-
- private:
-  Vec2 center_;
-  double radius_;
-  double rate_;
-  double start_angle_;
-};
-
 }  // namespace mmtag::channel

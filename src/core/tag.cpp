@@ -29,21 +29,4 @@ double MmTag::monostatic_gain_db(double world_bearing_rad) const {
   return array_.monostatic_gain_db(local);
 }
 
-Complex MmTag::reflection_field(double world_in_rad,
-                                double world_out_rad) const {
-  return array_.reradiated_field(pose_.to_local(world_in_rad),
-                                 pose_.to_local(world_out_rad));
-}
-
-double MmTag::modulation_depth_db(double world_bearing_rad) const {
-  // Evaluate both switch states without disturbing the caller-visible bit.
-  VanAttaArray probe = array_;
-  probe.set_all_switches(em::SwitchState::kOff);
-  const double local = pose_.to_local(world_bearing_rad);
-  const double off_db = probe.monostatic_gain_db(local);
-  probe.set_all_switches(em::SwitchState::kOn);
-  const double on_db = probe.monostatic_gain_db(local);
-  return off_db - on_db;
-}
-
 }  // namespace mmtag::core

@@ -42,15 +42,6 @@ class MmTag {
   /// with the current data bit applied.
   [[nodiscard]] double monostatic_gain_db(double world_bearing_rad) const;
 
-  /// Bistatic complex reflection: wave arriving from world bearing
-  /// `world_in_rad`, observed toward world bearing `world_out_rad`.
-  [[nodiscard]] Complex reflection_field(double world_in_rad,
-                                         double world_out_rad) const;
-
-  /// OOK modulation depth at the reader: gain difference between bit 0 and
-  /// bit 1 states toward `world_bearing_rad` [dB].
-  [[nodiscard]] double modulation_depth_db(double world_bearing_rad) const;
-
   [[nodiscard]] const Pose& pose() const { return pose_; }
   void set_pose(Pose pose) { pose_ = pose; }
 

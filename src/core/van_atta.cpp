@@ -8,27 +8,14 @@
 
 namespace mmtag::core {
 
-namespace {
-
-antenna::UniformLinearArray make_geometry(const VanAttaArray::Config& config) {
-  const double spacing = config.spacing_m > 0.0
-                             ? config.spacing_m
-                             : phys::wavelength_m(config.frequency_hz) / 2.0;
-  return antenna::UniformLinearArray(config.elements, spacing,
-                                     config.frequency_hz);
-}
-
-}  // namespace
-
 VanAttaArray::VanAttaArray(Config config, em::PatchElement element_model,
                            std::vector<em::TransmissionLine> pair_lines)
     : config_(config),
       element_model_(element_model),
       pair_lines_(std::move(pair_lines)),
-      geometry_(make_geometry(config)),
-      element_pattern_(),
-      switch_states_(static_cast<std::size_t>(config.elements),
-                     em::SwitchState::kOff) {
+      geometry_(antenna::UniformLinearArray::half_wavelength(
+          config.elements, config.frequency_hz)),
+      element_pattern_() {
   assert(config_.elements >= 1);
   assert(config_.frequency_hz > 0.0);
   [[maybe_unused]] const std::size_t pairs =
@@ -64,20 +51,6 @@ int VanAttaArray::pair_of(int n) const {
   return config_.elements - 1 - n;
 }
 
-void VanAttaArray::set_all_switches(em::SwitchState state) {
-  for (em::SwitchState& s : switch_states_) s = state;
-}
-
-void VanAttaArray::set_switch(int n, em::SwitchState state) {
-  assert(n >= 0 && n < config_.elements);
-  switch_states_[static_cast<std::size_t>(n)] = state;
-}
-
-em::SwitchState VanAttaArray::switch_state(int n) const {
-  assert(n >= 0 && n < config_.elements);
-  return switch_states_[static_cast<std::size_t>(n)];
-}
-
 Complex VanAttaArray::reradiated_field(double theta_in_rad,
                                        double theta_out_rad,
                                        double frequency_hz) const {
@@ -98,11 +71,9 @@ Complex VanAttaArray::reradiated_field(double theta_in_rad,
     v[static_cast<std::size_t>(n)] = std::polar(1.0, -psi_in * n);
   }
 
-  // Into the feeds (switch states gate each element)...
-  for (int n = 0; n < n_elems; ++n) {
-    v[static_cast<std::size_t>(n)] *= element_model_.feed_coupling(
-        switch_states_[static_cast<std::size_t>(n)], frequency_hz);
-  }
+  // Into the feeds (the switch state gates every element)...
+  const Complex feed = element_model_.feed_coupling(switches_, frequency_hz);
+  for (int n = 0; n < n_elems; ++n) v[static_cast<std::size_t>(n)] *= feed;
 
   // ... through the mirrored interconnects (paper Eq. 4:
   // y'_n = e^{j phi} x_{N-1-n}, with per-pair loss included) ...
@@ -118,10 +89,7 @@ Complex VanAttaArray::reradiated_field(double theta_in_rad,
   }
 
   // ... out through the feeds again ...
-  for (int n = 0; n < n_elems; ++n) {
-    y[static_cast<std::size_t>(n)] *= element_model_.feed_coupling(
-        switch_states_[static_cast<std::size_t>(n)], frequency_hz);
-  }
+  for (int n = 0; n < n_elems; ++n) y[static_cast<std::size_t>(n)] *= feed;
 
   // ... and projected onto the far field toward theta_out.
   Complex total(0.0, 0.0);

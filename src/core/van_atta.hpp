@@ -7,8 +7,8 @@
 // Eq. 3), hence the array reflects back to the direction of arrival for any
 // incidence angle — passive beam alignment with zero active components.
 //
-// This class implements that math element-by-element: per-element switch
-// states (the shunt FETs of Fig. 4), the measured coupling of the patch
+// This class implements that math element-by-element: the switch state
+// (the shunt FETs of Fig. 4, driven by one common data line), the measured coupling of the patch
 // resonator, the interconnect lines' loss and common phase phi, and the
 // element radiation pattern. Everything Fig. 3(b) draws is a term here.
 #pragma once
@@ -30,8 +30,6 @@ class VanAttaArray {
   struct Config {
     int elements = 6;               ///< Prototype: 6 patches (paper Sec. 7).
     double frequency_hz = 24.0e9;   ///< Design carrier.
-    /// Element spacing [m]; 0 selects the conventional half wavelength.
-    double spacing_m = 0.0;
   };
 
   /// Build with explicit per-pair interconnect lines. `pair_lines` must hold
@@ -58,12 +56,7 @@ class VanAttaArray {
   [[nodiscard]] int pair_of(int n) const;
 
   /// Set every switch (the common data line of Fig. 4).
-  void set_all_switches(em::SwitchState state);
-
-  /// Set one element's switch (failure injection / per-element tests).
-  void set_switch(int n, em::SwitchState state);
-
-  [[nodiscard]] em::SwitchState switch_state(int n) const;
+  void set_all_switches(em::SwitchState state) { switches_ = state; }
 
   /// Complex re-radiated far-field amplitude for a unit plane wave incident
   /// from `theta_in`, observed at `theta_out`, at carrier `frequency_hz`
@@ -113,7 +106,7 @@ class VanAttaArray {
   std::vector<em::TransmissionLine> pair_lines_;
   antenna::UniformLinearArray geometry_;
   antenna::PatchPattern element_pattern_;
-  std::vector<em::SwitchState> switch_states_;
+  em::SwitchState switches_ = em::SwitchState::kOff;
 };
 
 }  // namespace mmtag::core

@@ -11,12 +11,24 @@
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/phy/frame.hpp"
+#include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 #include "src/reader/interference.hpp"
 
 namespace mmtag::deploy {
 
 namespace {
+
+/// Scan sector: 17-degree beams over the full circle.
+constexpr double kSectorHalfAngleRad = phys::kPi;
+constexpr double kBeamwidthDeg = 17.0;
+/// Addressing preamble per poll [bits].
+constexpr double kPollOverheadBits = 64.0;
+/// First retry of an unanswered poll waits this long; doubles per further
+/// consecutive failure.
+constexpr double kPollBackoffBaseS = 200e-6;
+/// Airtime one unanswered poll consumes (query + listen window).
+constexpr double kPollTimeoutS = 50e-6;
 
 obs::Histogram& poll_cost_us_metric() {
   static obs::Histogram& hist =
@@ -35,9 +47,9 @@ ReaderCell::ReaderCell(int index, reader::MmWaveReader reader,
       config_(config),
       cache_(std::move(reader), env, rates, use_cache) {
   const double facing = cache_.reader().pose().orientation_rad;
-  codebook_ = antenna::uniform_codebook(
-      facing - config_.sector_half_angle_rad,
-      facing + config_.sector_half_angle_rad, config_.beamwidth_deg);
+  codebook_ = antenna::uniform_codebook(facing - kSectorHalfAngleRad,
+                                       facing + kSectorHalfAngleRad,
+                                       kBeamwidthDeg);
 }
 
 CellEpochResult ReaderCell::run_epoch(
@@ -120,8 +132,7 @@ CellEpochResult ReaderCell::run_epoch(
   // maps to absolute fleet time start_s + t / airtime_share.
   const double frame_bits = 2.0 *  // Manchester.
       static_cast<double>(phy::TagFrame::frame_bits(config_.payload_bits));
-  const double poll_bits =
-      frame_bits + 2.0 * static_cast<double>(config_.poll_overhead_bits);
+  const double poll_bits = frame_bits + 2.0 * kPollOverheadBits;
 
   mac::EventQueue queue;
   std::vector<std::size_t> discovered;  // Local ks, in read order.
@@ -143,7 +154,6 @@ CellEpochResult ReaderCell::run_epoch(
     retry_at.assign(n, 0.0);
     benched.assign(n, 0);
   }
-  const fault::RecoveryConfig& recovery = config_.recovery;
 
   std::function<void()> run_polling = [&] {
     if (discovered.empty()) return;
@@ -207,8 +217,7 @@ CellEpochResult ReaderCell::run_epoch(
       return;
     }
     dead_polls = 0;
-    double cost_s =
-        responded ? poll_bits / rate : recovery.poll_timeout_s;
+    double cost_s = responded ? poll_bits / rate : kPollTimeoutS;
     if (tag_beam[k] != poll_beam) {
       cost_s += config_.beam_switch_overhead_s;
       poll_beam = tag_beam[k];
@@ -232,21 +241,17 @@ CellEpochResult ReaderCell::run_epoch(
       // No response: burn the timeout, back off exponentially, and after
       // the retry budget park the tag in quarantine so a dead link stops
       // taxing everyone else's airtime. The original poll plus
-      // poll_retry_budget retries each burn one timeout before the
+      // kPollRetryBudget retries each burn one timeout before the
       // sentence starts; ldexp keeps the doubling ladder exact in binary.
       ++result.polls_timed_out;
       const int failed = ++fails[k];
-      if (recovery.poll_retry_budget > 0 &&
-          failed - 1 >= recovery.poll_retry_budget) {
+      if (failed - 1 >= kPollRetryBudget) {
         benched[k] = 1;
-        quarantine_[service.tag_id] = recovery.quarantine_epochs;
+        quarantine_[service.tag_id] = kQuarantineEpochs;
         ++result.quarantines;
       } else {
-        const double backoff_s =
-            recovery.poll_backoff_base_s > 0.0
-                ? std::ldexp(recovery.poll_backoff_base_s, failed - 1)
-                : 0.0;
-        retry_at[k] = queue.now() + cost_s + backoff_s;
+        retry_at[k] = queue.now() + cost_s +
+                      std::ldexp(kPollBackoffBaseS, failed - 1);
       }
     }
     queue.schedule_in(cost_s, run_polling);

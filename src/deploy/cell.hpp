@@ -21,27 +21,22 @@
 #include "src/core/tag.hpp"
 #include "src/deploy/fleet_stats.hpp"
 #include "src/deploy/link_cache.hpp"
-#include "src/fault/schedule.hpp"
 #include "src/mac/aloha.hpp"
 #include "src/phy/rate_table.hpp"
 #include "src/reader/reader.hpp"
 
 namespace mmtag::deploy {
 
+/// Poll-level recovery, consulted only when a fault context is attached
+/// to the epoch: consecutive no-response polls of one tag before it is
+/// quarantined, and the epochs a quarantined tag then sits out.
+inline constexpr int kPollRetryBudget = 2;
+inline constexpr int kQuarantineEpochs = 1;
+
 struct CellConfig {
   mac::AlohaConfig aloha;
   std::size_t payload_bits = 96;       ///< EPC-96-style identifier.
-  std::size_t poll_overhead_bits = 64; ///< Addressing preamble per poll.
   double beam_switch_overhead_s = 100e-6;
-  /// Scan sector half-angle about the reader's mounting orientation. A
-  /// deployment cell defaults to a full-circle scan (ceiling-mounted
-  /// reader serving tags on every side); narrow to ±60 deg to model the
-  /// paper's bench prototype horn.
-  double sector_half_angle_rad = 3.141592653589793;
-  double beamwidth_deg = 17.0;
-  /// Poll-level retry/backoff/quarantine knobs; consulted only when a
-  /// fault context is attached to the epoch.
-  fault::RecoveryConfig recovery;
 };
 
 /// Per-epoch fault state handed to run_epoch by the fleet simulator. Tag
@@ -83,9 +78,9 @@ struct CellEpochResult {
 class ReaderCell {
  public:
   /// `env` and `rates` must outlive the cell. The reader is steered by the
-  /// cell; its scan codebook covers ±sector_half_angle about the pose
-  /// orientation. `use_cache == false` re-traces on every lookup (bench
-  /// baseline).
+  /// cell; its scan codebook covers the full circle about the pose
+  /// orientation (a ceiling-mounted reader serving tags on every side).
+  /// `use_cache == false` re-traces on every lookup (bench baseline).
   ReaderCell(int index, reader::MmWaveReader reader,
              const channel::Environment* env, const phy::RateTable* rates,
              CellConfig config, bool use_cache = true);

@@ -9,10 +9,22 @@
 
 namespace mmtag::deploy {
 
+namespace {
+
+/// Frequency channels for kChannelized: the 24 GHz ISM band fits a
+/// handful of 200 MHz-tier channels (one 2 GHz-tier channel only).
+constexpr int kChannels = 4;
+/// Victim-filter rejection of an adjacent-channel carrier [dB] (E6).
+constexpr double kAdjacentChannelRejectionDb = 30.0;
+/// How far a tag's backscattered response sits below the aggressor
+/// reader's own carrier at the victim [dB]. Tag responses are two-way
+/// budgets; 30 dB is conservative for room-scale cells.
+constexpr double kTagResponseExcessLossDb = 30.0;
+
+}  // namespace
+
 FleetCoordinator::FleetCoordinator(CoordinatorConfig config)
-    : config_(config) {
-  assert(config_.channels > 0);
-}
+    : config_(config) {}
 
 std::vector<CellPlan> FleetCoordinator::plan(
     const std::vector<reader::MmWaveReader>& readers,
@@ -31,10 +43,7 @@ std::vector<CellPlan> FleetCoordinator::plan(
   }
 
   for (std::size_t v = 0; v < m; ++v) {
-    plans[v].channel =
-        config_.policy == CoordinationPolicy::kChannelized
-            ? static_cast<int>(v) % config_.channels
-            : 0;
+    plans[v].channel = static_cast<int>(v) % kChannels;
   }
   for (std::size_t v = 0; v < m; ++v) {
     double load_w = 0.0;
@@ -43,13 +52,12 @@ std::vector<CellPlan> FleetCoordinator::plan(
       double carrier_dbm = reader::cross_reader_interference_dbm(
           readers[a], readers[v], env);
       if (plans[a].channel != plans[v].channel) {
-        carrier_dbm -= config_.adjacent_channel_rejection_db;
+        carrier_dbm -= kAdjacentChannelRejectionDb;
       }
       // The aggressor's own tags answer on the aggressor's channel too;
-      // their backscatter arrives tag_response_excess_loss_db below the
+      // their backscatter arrives kTagResponseExcessLossDb below the
       // carrier over (approximately) the same paths.
-      const double tag_echo_dbm =
-          carrier_dbm - config_.tag_response_excess_loss_db;
+      const double tag_echo_dbm = carrier_dbm - kTagResponseExcessLossDb;
       load_w += phys::dbm_to_watts(carrier_dbm) +
                 phys::dbm_to_watts(tag_echo_dbm);
     }
@@ -93,13 +101,6 @@ int FleetCoordinator::reassign(const std::vector<core::MmTag>& tags,
     }
   }
   return handoffs;
-}
-
-int FleetCoordinator::reassign_orphans(
-    const std::vector<core::MmTag>& tags,
-    const std::vector<reader::MmWaveReader>& readers,
-    const std::vector<std::uint8_t>& live, std::vector<int>& tag_cell) {
-  return reassign_orphans(tags, readers, live, {}, tag_cell);
 }
 
 int FleetCoordinator::reassign_orphans(

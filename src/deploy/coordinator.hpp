@@ -4,9 +4,9 @@
 // room scale — wall bounces deliver carrier-level interference against
 // microwatt tag responses. The coordinator turns that finding into policy:
 // it hands every cell an airtime share and an interference load
-// (CellPlan) under one of three regimes — simultaneous (raw SINR),
-// channelized (round-robin channels, adjacent-channel rejection at the
-// victim's filter), or TDM (1/M airtime, no interference) — and it owns
+// (CellPlan) under one of two regimes — channelized (round-robin channels,
+// adjacent-channel rejection at the victim's filter) or TDM (1/M airtime,
+// no interference) — and it owns
 // tag↔cell membership, re-assigning mobile tags to their strongest reader
 // and counting the handoffs.
 //
@@ -27,8 +27,7 @@
 namespace mmtag::deploy {
 
 enum class CoordinationPolicy {
-  kSimultaneous,  ///< Everyone on the same channel, all the time.
-  kChannelized,   ///< channel = cell % channels; ACR protects neighbours.
+  kChannelized,   ///< channel = cell % 4; ACR protects neighbours.
   kTdm,           ///< Cells take turns: 1/M airtime, zero interference.
 };
 
@@ -38,15 +37,6 @@ struct CoordinatorConfig {
   /// 2 GHz-tier channel, so dense deployments must take turns. Channelized
   /// operation trades fairness for airtime where cells are far apart.
   CoordinationPolicy policy = CoordinationPolicy::kTdm;
-  /// Frequency channels available for kChannelized (24 GHz ISM fits a
-  /// handful of 200 MHz-tier channels; one 2 GHz-tier channel only).
-  int channels = 4;
-  /// Victim-filter rejection of an adjacent-channel carrier [dB] (E6).
-  double adjacent_channel_rejection_db = 30.0;
-  /// How far a tag's backscattered response sits below the aggressor
-  /// reader's own carrier at the victim [dB]. Tag responses are two-way
-  /// budgets; 30 dB is conservative for room-scale cells.
-  double tag_response_excess_loss_db = 30.0;
 };
 
 class FleetCoordinator {
@@ -75,25 +65,17 @@ class FleetCoordinator {
       const std::vector<reader::MmWaveReader>& readers,
       std::vector<int>& tag_cell);
 
-  /// Outage-aware reassignment: every tag goes to its nearest *live*
-  /// reader (`live[r]` = reader r serves this epoch), which both evacuates
-  /// tags orphaned by an outage and returns them once their home reader
-  /// restarts. With every reader live this is exactly reassign(); with
-  /// every reader dead membership is left untouched (nowhere to go).
-  /// Returns the number of handoffs performed.
-  [[nodiscard]] static int reassign_orphans(
-      const std::vector<core::MmTag>& tags,
-      const std::vector<reader::MmWaveReader>& readers,
-      const std::vector<std::uint8_t>& live, std::vector<int>& tag_cell);
-
-  /// Mesh-aware variant: a reader only receives tags when it is BOTH
-  /// radio-live and backhaul-reachable (`reachable[r]`, from
+  /// Outage-aware reassignment: every tag goes to its nearest
+  /// serviceable reader, which both evacuates tags orphaned by an outage
+  /// and returns them once their home reader restarts. A reader is
+  /// serviceable when it is BOTH radio-live (`live[r]` = reader r serves
+  /// this epoch) and backhaul-reachable (`reachable[r]`, from
   /// mesh::MeshTopology::gateway_reachable) — a live reader partitioned
   /// from every gateway can read tags but can never drain their inventory,
   /// so handing it orphans silently loses traffic. An empty `reachable`
-  /// means no mesh is deployed and every live reader qualifies (exactly
-  /// the overload above). With no reader serviceable, membership is left
-  /// untouched. Returns the number of handoffs performed.
+  /// means no mesh is deployed and every live reader qualifies. With every
+  /// reader serviceable this is exactly reassign(); with none, membership
+  /// is left untouched. Returns the number of handoffs performed.
   [[nodiscard]] static int reassign_orphans(
       const std::vector<core::MmTag>& tags,
       const std::vector<reader::MmWaveReader>& readers,

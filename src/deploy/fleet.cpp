@@ -275,17 +275,16 @@ FleetResult FleetSimulator::run() {
           std::floor(config_.mobile_fraction * static_cast<double>(n)));
       const double step_m =
           config_.mobile_speed_mps * config_.epoch_duration_s;
-      const double margin = config_.layout.margin_m;
       for (std::size_t t = 0; t < movers && t < n; ++t) {
         std::mt19937_64 rng = sim::make_rng(sim::derive_seed(
             move_base, static_cast<std::uint64_t>(e) * n + t));
         std::uniform_real_distribution<double> heading(0.0, phys::kTwoPi);
         const double dir = heading(rng);
         channel::Vec2 pos = layout.tags[t].pose().position;
-        pos.x = std::clamp(pos.x + step_m * std::cos(dir), margin,
-                           config_.layout.width_m - margin);
-        pos.y = std::clamp(pos.y + step_m * std::sin(dir), margin,
-                           config_.layout.height_m - margin);
+        pos.x = std::clamp(pos.x + step_m * std::cos(dir), kLayoutMarginM,
+                           config_.layout.width_m - kLayoutMarginM);
+        pos.y = std::clamp(pos.y + step_m * std::sin(dir), kLayoutMarginM,
+                           config_.layout.height_m - kLayoutMarginM);
         const std::size_t owner = nearest_reader(layout.reader_poses, pos);
         layout.tags[t].set_pose(core::Pose{
             pos, channel::bearing_rad(

@@ -49,9 +49,9 @@ struct FleetConfig {
   fault::FaultSchedule faults;
   /// When `faults` is active, hand tags orphaned by a full-epoch reader
   /// outage to the nearest live reader at the next epoch boundary (and
-  /// back after the restart). Poll retry knobs live in cell.recovery. A
-  /// restarted reader always re-calibrates: its cell drops the memoized
-  /// link state.
+  /// back after the restart). The poll retry ladder is fixed in
+  /// deploy/cell.cpp. A restarted reader always re-calibrates: its cell
+  /// drops the memoized link state.
   bool reassign_orphans = true;
   /// Front-end impairment decomposition (DESIGN.md Sec. 16): with any
   /// stage enabled, every reader's opaque implementation_loss_db is

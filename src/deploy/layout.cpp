@@ -11,6 +11,9 @@ namespace mmtag::deploy {
 
 namespace {
 
+/// Roughness of the perimeter walls (see channel::Wall).
+constexpr double kWallRoughness = 0.5;
+
 /// Rows x columns of a near-square grid holding `count` cells over a
 /// `width` x `height` area (more columns along the longer side).
 struct GridShape {
@@ -42,8 +45,8 @@ channel::Vec2 grid_point(const GridShape& shape, int index, double x0,
 
 FleetLayout make_layout(const LayoutConfig& config) {
   assert(config.readers > 0 && config.tags >= 0);
-  assert(config.width_m > 2.0 * config.margin_m &&
-         config.height_m > 2.0 * config.margin_m);
+  assert(config.width_m > 2.0 * kLayoutMarginM &&
+         config.height_m > 2.0 * kLayoutMarginM);
 
   FleetLayout layout;
   layout.width_m = config.width_m;
@@ -56,7 +59,7 @@ FleetLayout make_layout(const LayoutConfig& config) {
   for (const auto& [a, b] : {std::pair{c00, c10}, std::pair{c10, c11},
                              std::pair{c11, c01}, std::pair{c01, c00}}) {
     layout.environment.add_wall(
-        channel::Wall{channel::Segment{a, b}, config.wall_roughness});
+        channel::Wall{channel::Segment{a, b}, kWallRoughness});
   }
 
   const channel::Vec2 center{config.width_m / 2.0, config.height_m / 2.0};
@@ -73,25 +76,17 @@ FleetLayout make_layout(const LayoutConfig& config) {
     layout.reader_poses.push_back(core::Pose{pos, facing});
   }
 
-  const double usable_w = config.width_m - 2.0 * config.margin_m;
-  const double usable_h = config.height_m - 2.0 * config.margin_m;
-  const GridShape tag_grid =
-      near_square_grid(config.tags > 0 ? config.tags : 1, usable_w, usable_h);
+  const double usable_w = config.width_m - 2.0 * kLayoutMarginM;
+  const double usable_h = config.height_m - 2.0 * kLayoutMarginM;
   layout.tags.reserve(static_cast<std::size_t>(config.tags));
   for (int i = 0; i < config.tags; ++i) {
-    channel::Vec2 pos;
-    if (config.placement == TagPlacement::kGrid) {
-      pos = grid_point(tag_grid, i, config.margin_m, config.margin_m,
-                       usable_w, usable_h);
-    } else {
-      auto rng = sim::make_rng(
-          sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
-      std::uniform_real_distribution<double> ux(config.margin_m,
-                                                config.margin_m + usable_w);
-      std::uniform_real_distribution<double> uy(config.margin_m,
-                                                config.margin_m + usable_h);
-      pos = {ux(rng), uy(rng)};
-    }
+    auto rng = sim::make_rng(
+        sim::derive_seed(config.seed, static_cast<std::uint64_t>(i)));
+    std::uniform_real_distribution<double> ux(kLayoutMarginM,
+                                              kLayoutMarginM + usable_w);
+    std::uniform_real_distribution<double> uy(kLayoutMarginM,
+                                              kLayoutMarginM + usable_h);
+    const channel::Vec2 pos{ux(rng), uy(rng)};
     const std::size_t owner = nearest_reader(layout.reader_poses, pos);
     const double facing =
         channel::bearing_rad(pos, layout.reader_poses[owner].position);

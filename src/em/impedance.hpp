@@ -37,15 +37,4 @@ using Complex = std::complex<double>;
 /// |S11| in dB of impedance `z` against reference `z0` (<= 0 for passive z).
 [[nodiscard]] double s11_db(Complex z, double z0_ohm);
 
-/// Fraction of incident power *accepted* (not reflected) by impedance `z`
-/// against reference `z0`: 1 - |Gamma|^2, in [0, 1] for passive z.
-[[nodiscard]] double power_acceptance(Complex z, double z0_ohm);
-
-/// Voltage standing-wave ratio corresponding to `z` against `z0` (>= 1).
-[[nodiscard]] double vswr(Complex z, double z0_ohm);
-
-/// Impedance corresponding to a reflection coefficient `gamma` against `z0`.
-/// Inverse of reflection_coefficient; `gamma` must not equal +1.
-[[nodiscard]] Complex gamma_to_impedance(Complex gamma, double z0_ohm);
-
 }  // namespace mmtag::em

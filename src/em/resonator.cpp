@@ -51,13 +51,4 @@ Complex PatchResonator::impedance(double frequency_hz) const {
   return r_ohm_ / Complex(1.0, q_ * detuning);
 }
 
-double PatchResonator::s11_db(double frequency_hz, double z0_ohm) const {
-  return em::s11_db(impedance(frequency_hz), z0_ohm);
-}
-
-double PatchResonator::fractional_bandwidth() const {
-  constexpr double kVswr = 2.0;
-  return (kVswr - 1.0) / (q_ * std::sqrt(kVswr));
-}
-
 }  // namespace mmtag::em

@@ -128,21 +128,6 @@ struct FaultSchedule {
   [[nodiscard]] static FaultSchedule chaos(double intensity);
 };
 
-/// How a reader cell fights back against unanswered polls: the
-/// poll-level retry/backoff and quarantine run inside the cell's event
-/// queue (deploy::CellConfig::recovery). Orphan re-handoff is fleet-level
-/// (deploy::FleetConfig::reassign_orphans).
-struct RecoveryConfig {
-  /// Consecutive no-response polls of one tag before it is quarantined.
-  int poll_retry_budget = 2;
-  /// First retry waits this long; doubles per further consecutive failure.
-  double poll_backoff_base_s = 200e-6;
-  /// Airtime one unanswered poll consumes (query + listen window).
-  double poll_timeout_s = 50e-6;
-  /// Epochs a quarantined tag sits out before being re-tried.
-  int quarantine_epochs = 1;
-};
-
 /// Per-reader outage timelines over [0, duration_s): Poisson arrivals with
 /// exponential lengths from derive_seed(seed, reader) streams, merged with
 /// the scripted events, clipped to the run window, overlaps coalesced.

@@ -7,13 +7,10 @@
 
 namespace mmtag::mac {
 
-double AlohaStats::efficiency() const {
-  if (slots_total == 0) return 0.0;
-  return static_cast<double>(slots_success) /
-         static_cast<double>(slots_total);
-}
-
 namespace {
+
+/// EPC Gen2 Qfp adjustment per empty or collided slot.
+constexpr double kEpcC = 0.5;
 
 int clamp_q(double q) {
   return std::clamp(static_cast<int>(std::round(q)), 0, 15);
@@ -33,12 +30,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
 
   while (remaining > 0 && stats.rounds < config.max_rounds) {
     ++stats.rounds;
-    int q = clamp_q(qfp);
-    if (config.policy == QPolicy::kOptimal) {
-      // Frame size matched to the population: optimal slot count ~= tags.
-      q = clamp_q(std::log2(std::max(1, remaining)));
-    }
-    const int slots = 1 << q;
+    const int slots = 1 << clamp_q(qfp);
     stats.slots_total += slots;
 
     // Each unread tag picks a slot uniformly.
@@ -52,9 +44,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
     for (const int occupants : occupancy) {
       if (occupants == 0) {
         ++stats.slots_empty;
-        if (config.policy == QPolicy::kEpc) {
-          qfp = std::max(0.0, qfp - config.epc_c);
-        }
+        qfp = std::max(0.0, qfp - kEpcC);
       } else if (occupants == 1) {
         if (coin(rng) <= config.slot_success_probability) {
           ++stats.slots_success;
@@ -65,9 +55,7 @@ AlohaStats run_framed_aloha(int tag_count, const AlohaConfig& config,
         }
       } else {
         ++stats.slots_collision;
-        if (config.policy == QPolicy::kEpc) {
-          qfp = std::min(15.0, qfp + config.epc_c);
-        }
+        qfp = std::min(15.0, qfp + kEpcC);
       }
     }
     remaining -= read_this_round;

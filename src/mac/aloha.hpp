@@ -4,25 +4,16 @@
 // Aloha protocol." When several tags share one beam direction they collide;
 // framed slotted Aloha resolves them: the reader announces a frame of 2^Q
 // slots, every unread tag picks one uniformly, singleton slots deliver a
-// frame (subject to link errors), collisions retry in the next frame.
-// Three Q policies are provided, from dumb to EPC-grade.
+// frame (subject to link errors), collisions retry in the next frame. The
+// frame size follows the EPC Gen2 Q-algorithm.
 #pragma once
 
 #include <random>
 
 namespace mmtag::mac {
 
-/// Frame-size adaptation policy.
-enum class QPolicy {
-  kFixed,     ///< Q never changes.
-  kEpc,       ///< EPC Gen2 Q-algorithm (Qfp +/- 0.5 per collision/empty).
-  kOptimal,   ///< Q = round(log2(remaining tags)) — genie-aided optimum.
-};
-
 struct AlohaConfig {
-  int initial_q = 4;             ///< Frame size 2^Q slots.
-  QPolicy policy = QPolicy::kEpc;
-  double epc_c = 0.5;            ///< EPC Qfp adjustment constant.
+  int initial_q = 4;             ///< Initial frame size 2^Q slots.
   /// Probability a singleton slot's frame survives the link (CRC passes).
   double slot_success_probability = 0.98;
   int max_rounds = 64;           ///< Give up after this many frames.
@@ -36,10 +27,6 @@ struct AlohaStats {
   long slots_success = 0;
   long slots_collision = 0;
   long slots_empty = 0;
-
-  /// Fraction of slots that delivered a tag (the Aloha efficiency; the
-  /// theoretical optimum for framed Aloha is 1/e ~ 0.368).
-  [[nodiscard]] double efficiency() const;
 };
 
 /// Simulate framed slotted Aloha until all `tag_count` tags are read or

@@ -10,6 +10,11 @@ namespace mmtag::mesh {
 
 namespace {
 
+/// SNR of a 1 m backhaul link [dB]; falls off 10*n*log10(d) with path-loss
+/// exponent n.
+constexpr double kSnrAt1mDb = 42.0;
+constexpr double kPathlossExponent = 2.1;
+
 /// Shannon capacity of one link [bit/s] from its SNR [dB].
 double capacity_bps(double snr_db, double bandwidth_hz) {
   const double snr = std::pow(10.0, snr_db / 10.0);
@@ -43,9 +48,9 @@ MeshTopology::MeshTopology(const std::vector<core::Pose>& reader_poses,
       // Clamp the near field to the 1 m reference so co-located readers
       // do not produce unbounded SNR.
       const double snr_db =
-          m.snr_at_1m_db -
-          10.0 * m.pathloss_exponent * std::log10(std::max(d, 1.0));
-      if (snr_db < m.min_snr_db) continue;
+          kSnrAt1mDb -
+          10.0 * kPathlossExponent * std::log10(std::max(d, 1.0));
+      if (snr_db < kMinSnrDb) continue;
       MeshLink link;
       link.from = static_cast<int>(i);
       link.to = static_cast<int>(j);

@@ -67,12 +67,6 @@ bool Packet::consume(std::size_t bytes) {
   return true;
 }
 
-bool Packet::trim(std::size_t bytes) {
-  if (!valid() || bytes > len_) return false;
-  len_ -= bytes;
-  return true;
-}
-
 void Packet::release() {
   if (pool_ != nullptr) {
     pool_->release_slot(slot_);

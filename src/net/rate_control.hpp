@@ -47,10 +47,6 @@ class AckRateController {
   /// through. Returns true when the tier changed.
   bool on_ack_round(int delivered, int transmitted);
 
-  /// Refresh the link-budget side of the fusion (mobility, blockage
-  /// clearing). Never changes the tier by itself — only the upshift gate.
-  void observe_power_dbm(double received_power_dbm);
-
   /// Tier currently in force (index into table->tiers(), 0 = fastest).
   [[nodiscard]] std::size_t tier_index() const { return tier_; }
   [[nodiscard]] const phy::RateTier& tier() const;

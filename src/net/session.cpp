@@ -39,8 +39,7 @@ SessionReport TransferSession::analyze(const reader::LinkReport& link,
       payload_bits == 0 ? 1 : (payload_bits + chunk_bits - 1) / chunk_bits;
   const std::size_t frame_bits =
       phy::TagFrame::frame_bits(config_.mtu_payload_bits);
-  const std::size_t chips_per_frame =
-      config_.manchester ? 2 * frame_bits : frame_bits;
+  const std::size_t chips_per_frame = 2 * frame_bits;  // Manchester.
 
   // A frame survives when every chip does (CRC catches the rest; the tiny
   // undetected-error probability is ignored).

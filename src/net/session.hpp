@@ -29,7 +29,6 @@ struct SessionConfig {
   /// kFragmentHeaderBits.
   std::size_t mtu_payload_bits = 256;
   ArqConfig arq;
-  bool manchester = true;
 };
 
 /// Everything known about a prospective transfer over one link state.

@@ -29,12 +29,6 @@ double SrArqResult::goodput_bps(std::size_t payload_bits) const {
          static_cast<double>(payload_bits) / elapsed_s;
 }
 
-double SrArqResult::efficiency() const {
-  if (transmissions == 0) return 0.0;
-  return static_cast<double>(packets_delivered) /
-         static_cast<double>(transmissions);
-}
-
 SrArqSession::SrArqSession(SrArqConfig config, SrArqTiming timing)
     : config_(config), timing_(timing) {
   assert(config_.window >= 1 && config_.window <= 64);
@@ -277,19 +271,6 @@ SrArqResult SrArqSession::run(int packet_count, const ChannelFn& channel,
       [&result](const SrArqResult& r) { result = r; }, std::move(adapt));
   queue.run();
   return result;
-}
-
-SrArqResult SrArqSession::run(int packet_count,
-                              double packet_success_probability,
-                              std::mt19937_64& rng, PacketPool* pool) {
-  assert(packet_success_probability >= 0.0 &&
-         packet_success_probability <= 1.0);
-  return run(
-      packet_count,
-      [packet_success_probability](double) {
-        return packet_success_probability;
-      },
-      rng, pool);
 }
 
 }  // namespace mmtag::net

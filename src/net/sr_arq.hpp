@@ -78,8 +78,6 @@ struct SrArqResult {
 
   /// Delivered payload per unit wall time.
   [[nodiscard]] double goodput_bps(std::size_t payload_bits) const;
-  /// Delivered packets per transmission (<= 1).
-  [[nodiscard]] double efficiency() const;
 };
 
 /// Per-packet success probability at absolute queue time [s]. Fault
@@ -104,16 +102,9 @@ class SrArqSession {
  public:
   SrArqSession(SrArqConfig config, SrArqTiming timing);
 
-  /// Synchronous convenience: run the transfer on a private queue over a
-  /// fixed per-packet success probability. `pool` (optional) backs the
-  /// in-flight window with real buffers; pass nullptr to skip.
-  [[nodiscard]] SrArqResult run(int packet_count,
-                                double packet_success_probability,
-                                std::mt19937_64& rng,
-                                PacketPool* pool = nullptr);
-
-  /// Synchronous form with a time-varying channel and optional rate
-  /// adapter.
+  /// Synchronous form: run the transfer on a private queue. `pool`
+  /// (optional) backs the in-flight window with real buffers; pass nullptr
+  /// to skip. `adapt` is the optional rate adapter.
   [[nodiscard]] SrArqResult run(int packet_count, const ChannelFn& channel,
                                 std::mt19937_64& rng,
                                 PacketPool* pool = nullptr,

@@ -19,6 +19,11 @@ namespace mmtag::net {
 
 namespace {
 
+/// Manchester chip coding on the air (2 chips/bit), as in the phy.
+constexpr double kChipsPerBit = 2.0;
+/// Block-ACK on-air payload [bits] (timing only).
+constexpr double kAckBits = 64.0;
+
 obs::Counter& flows_metric() {
   static obs::Counter& counter =
       obs::Registry::instance().counter("net.traffic.flows");
@@ -112,26 +117,6 @@ std::uint64_t fingerprint(const TrafficReport& report) {
   return hasher.digest();
 }
 
-sim::Table traffic_report_table(const TrafficReport& report) {
-  sim::Table table({"flows", "served", "coverage", "delivered", "dropped",
-                    "goodput_total", "goodput_mean", "jain", "p50_ms",
-                    "p99_ms", "retx", "switches"});
-  const long retx = report.transmissions - report.packets_delivered;
-  table.add_row({std::to_string(report.flows_admitted),
-                 std::to_string(report.flows_served),
-                 sim::Table::fmt(report.discovery_coverage, 3),
-                 std::to_string(report.packets_delivered),
-                 std::to_string(report.packets_dropped),
-                 sim::Table::fmt_rate(report.goodput_total_bps),
-                 sim::Table::fmt_rate(report.goodput_mean_bps),
-                 sim::Table::fmt(report.jain, 4),
-                 sim::Table::fmt(report.latency_p50_s * 1e3, 3),
-                 sim::Table::fmt(report.latency_p99_s * 1e3, 3),
-                 std::to_string(retx),
-                 std::to_string(report.rate_switches)});
-  return table;
-}
-
 TrafficEngine::TrafficEngine(TrafficConfig config)
     : config_(std::move(config)) {
   assert(config_.flows >= 0 && config_.packets_per_flow >= 0);
@@ -223,11 +208,10 @@ TrafficReport TrafficEngine::run() {
   const std::uint64_t flow_base =
       sim::derive_seed(config_.seed, 0x666C6F77);  // flow
 
-  const double chips_per_bit = config_.manchester ? 2.0 : 1.0;
   const double packet_bits =
       static_cast<double>((kSrHeaderBytes + config_.arq.payload_bytes) * 8);
   const auto packet_chips =
-      static_cast<std::size_t>(packet_bits * chips_per_bit);
+      static_cast<std::size_t>(packet_bits * kChipsPerBit);
 
   SrArqConfig arq_config = config_.arq;
   if (config_.mode == ArqMode::kStopAndWait) arq_config.window = 1;
@@ -257,9 +241,8 @@ TrafficReport TrafficEngine::run() {
           const double symbol_rate = tier.bandwidth_hz / 2.0;
           SrArqTiming timing;
           timing.packet_time_s =
-              packet_bits * chips_per_bit / symbol_rate / share;
-          timing.ack_time_s =
-              config_.ack_bits * chips_per_bit / symbol_rate / share;
+              packet_bits * kChipsPerBit / symbol_rate / share;
+          timing.ack_time_s = kAckBits * kChipsPerBit / symbol_rate / share;
           timing.ack_timeout_s = timing.packet_time_s + timing.ack_time_s;
           return timing;
         };

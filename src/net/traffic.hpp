@@ -65,10 +65,6 @@ struct TrafficConfig {
   fault::FaultSchedule faults;
   /// Traffic-phase window the outage timelines are drawn over [s].
   double horizon_s = 1.0;
-  /// Block-ACK on-air payload [bits] (timing only).
-  double ack_bits = 64.0;
-  /// Manchester chip coding on the air (2 chips/bit), as in the phy.
-  bool manchester = true;
   /// Buffer slots backing each flow's in-flight window; fewer slots than
   /// the window throttles it (pool backpressure).
   std::size_t pool_packets = 48;
@@ -126,10 +122,6 @@ struct TrafficReport {
 /// iff the digests match — the determinism tests and bench_n1_traffic
 /// compare these across thread counts.
 [[nodiscard]] std::uint64_t fingerprint(const TrafficReport& report);
-
-/// One-row summary (flows, coverage, goodput, Jain, latency percentiles,
-/// drops) for benches and examples.
-[[nodiscard]] sim::Table traffic_report_table(const TrafficReport& report);
 
 class TrafficEngine {
  public:

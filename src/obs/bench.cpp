@@ -15,6 +15,7 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/stats.hpp"
+#include "src/sim/parallel.hpp"  // kMaxThreads only; obs links no mmtag_sim.
 
 namespace mmtag::bench {
 
@@ -136,6 +137,9 @@ bool Parser::apply(const Spec& spec, const char* value) {
       const long parsed = std::strtol(value, &end, 10);
       if (end == value || *end != '\0') return false;
       if (spec.kind == Kind::kCount && (parsed < 1 || parsed > INT_MAX)) {
+        return false;
+      }
+      if (spec.target == &options_.threads && parsed > sim::kMaxThreads) {
         return false;
       }
       *static_cast<int*>(spec.target) = static_cast<int>(parsed);

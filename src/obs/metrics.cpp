@@ -66,15 +66,6 @@ std::uint64_t Histogram::quantile(double pct) const noexcept {
   return bucket_lower_bound(kOverflowBucket);
 }
 
-void Histogram::reset() noexcept {
-  for (auto& bucket : buckets_) {
-    bucket.store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  rejected_.store(0, std::memory_order_relaxed);
-}
-
 void Histogram::Snapshot::merge(const Snapshot& other) noexcept {
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     buckets[b] += other.buckets[b];

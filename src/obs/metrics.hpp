@@ -140,8 +140,6 @@ class Histogram {
   /// Empty histogram returns 0.
   [[nodiscard]] std::uint64_t quantile(double pct) const noexcept;
 
-  void reset() noexcept;
-
   /// Plain copy of the bucket state for merging and fingerprinting.
   struct Snapshot {
     std::array<std::uint64_t, kBuckets + 1> buckets{};

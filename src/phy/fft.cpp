@@ -150,58 +150,4 @@ std::vector<double> power_spectrum(std::span<const Complex> samples,
   return spectrum;
 }
 
-double occupied_bandwidth_hz(std::span<const double> spectrum,
-                             std::span<const double> frequencies_hz,
-                             double fraction) {
-  assert(spectrum.size() == frequencies_hz.size());
-  assert(fraction > 0.0 && fraction <= 1.0);
-  double total = 0.0;
-  for (const double s : spectrum) total += s;
-  if (total <= 0.0) return 0.0;
-
-  // Power centroid.
-  double centroid = 0.0;
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    centroid += spectrum[i] * frequencies_hz[i];
-  }
-  centroid /= total;
-
-  // Grow a symmetric window around the centroid bin until it holds the
-  // requested fraction.
-  std::size_t center = 0;
-  double best = 1e300;
-  for (std::size_t i = 0; i < frequencies_hz.size(); ++i) {
-    const double d = std::abs(frequencies_hz[i] - centroid);
-    if (d < best) {
-      best = d;
-      center = i;
-    }
-  }
-  double acc = spectrum[center];
-  std::size_t bins_added = 1;
-  std::size_t radius = 0;
-  while (acc < fraction * total) {
-    ++radius;
-    bool grew = false;
-    if (center >= radius) {
-      acc += spectrum[center - radius];
-      ++bins_added;
-      grew = true;
-    }
-    if (center + radius < spectrum.size()) {
-      acc += spectrum[center + radius];
-      ++bins_added;
-      grew = true;
-    }
-    if (!grew) break;
-  }
-  const double bin_hz = frequencies_hz.size() > 1
-                            ? frequencies_hz[1] - frequencies_hz[0]
-                            : 0.0;
-  // Count the bins actually accumulated: when the window clips at a
-  // spectrum edge only one side grows per step, and 2*radius+1 would
-  // overestimate the bandwidth.
-  return static_cast<double>(bins_added) * bin_hz;
-}
-
 }  // namespace mmtag::phy

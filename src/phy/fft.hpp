@@ -1,9 +1,8 @@
 // Radix-2 FFT and spectrum estimation.
 //
 // The prototype's reader *is* a spectrum analyzer; this gives the library
-// one too. Used to verify the pulse-shaping module's occupied-bandwidth
-// claims from the waveform itself and to inspect modulated tag signals the
-// way the paper's bench instrument displayed them.
+// one too. Used to inspect modulated tag signals the way the paper's bench
+// instrument displayed them.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +43,5 @@ void fft_twiddle_cache_clear();
 [[nodiscard]] std::vector<double> power_spectrum(
     std::span<const Complex> samples, double sample_rate_hz,
     std::vector<double>& frequencies_hz);
-
-/// Two-sided bandwidth containing `fraction` (e.g. 0.99) of the total
-/// spectral power, centred on the power centroid [Hz].
-[[nodiscard]] double occupied_bandwidth_hz(
-    std::span<const double> spectrum, std::span<const double> frequencies_hz,
-    double fraction = 0.99);
 
 }  // namespace mmtag::phy

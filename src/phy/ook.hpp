@@ -59,10 +59,6 @@ class OokDemodulator {
   /// statistics (blind two-cluster split).
   [[nodiscard]] BitVector demodulate(std::span<const Complex> samples) const;
 
-  /// Demodulate with a caller-supplied amplitude threshold.
-  [[nodiscard]] BitVector demodulate_with_threshold(
-      std::span<const Complex> samples, double threshold) const;
-
   [[nodiscard]] int samples_per_symbol() const { return samples_per_symbol_; }
   [[nodiscard]] OokDetection detection() const { return detection_; }
 

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "src/kern/kern.hpp"
 #include "src/phys/constants.hpp"
 
 namespace mmtag::phy {
@@ -36,32 +35,6 @@ std::vector<double> raised_cosine_taps(double beta, int samples_per_symbol,
   return taps;
 }
 
-Waveform apply_fir(std::span<const Complex> samples,
-                   std::span<const double> taps) {
-  assert(!taps.empty());
-  // y[n] = sum_k taps[k] * x[n + delay - k] ("same" alignment) with the
-  // out-of-range k skipped; the per-output dot product runs on the
-  // dispatch kernels.
-  Waveform out(samples.size(), Complex(0.0, 0.0));
-  kern::dispatch().fir_complex(samples.data(), samples.size(), taps.data(),
-                               taps.size(), out.data());
-  return out;
-}
-
-Waveform shape_bits(const BitVector& bits, double beta,
-                    int samples_per_symbol) {
-  Waveform impulses(bits.size() *
-                        static_cast<std::size_t>(samples_per_symbol),
-                    Complex(0.0, 0.0));
-  for (std::size_t b = 0; b < bits.size(); ++b) {
-    impulses[b * static_cast<std::size_t>(samples_per_symbol)] =
-        Complex(bits[b] ? 0.0 : 1.0, 0.0);  // Paper polarity.
-  }
-  const std::vector<double> taps =
-      raised_cosine_taps(beta, samples_per_symbol);
-  return apply_fir(impulses, taps);
-}
-
 double isi_at_symbol_instants(std::span<const double> taps,
                               int samples_per_symbol) {
   assert(!taps.empty());
@@ -79,11 +52,6 @@ double isi_at_symbol_instants(std::span<const double> taps,
     isi += std::abs(taps[center + i]);
   }
   return isi / peak;
-}
-
-double occupied_bandwidth_hz(double beta, double symbol_rate_hz) {
-  assert(symbol_rate_hz > 0.0);
-  return (1.0 + beta) * symbol_rate_hz;
 }
 
 double symbol_rate_for_channel_hz(double beta, double channel_hz) {

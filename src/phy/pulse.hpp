@@ -5,8 +5,8 @@
 // (beta = 1): occupied bandwidth = (1 + beta) * Rs for a symbol rate Rs,
 // so Rs = B / 2. Sharper filters (smaller beta) fit a faster symbol rate
 // into the same channel at the cost of longer, more ISI-sensitive pulses
-// and tighter timing. This module provides the raised-cosine pulse, FIR
-// filtering, and an ISI metric so bench_a6 can quantify the trade.
+// and tighter timing. This module provides the raised-cosine pulse and an
+// ISI metric so bench_a6 can quantify the trade.
 #pragma once
 
 #include <vector>
@@ -23,26 +23,11 @@ namespace mmtag::phy {
                                                      int samples_per_symbol,
                                                      int span_symbols = 6);
 
-/// Linear convolution of `samples` with real `taps` ("same" alignment:
-/// output length equals input length, group delay removed).
-[[nodiscard]] Waveform apply_fir(std::span<const Complex> samples,
-                                 std::span<const double> taps);
-
-/// Shape a bit stream: impulses at symbol instants, raised-cosine filtered.
-/// Paper polarity (false = reflect = 1.0 amplitude).
-[[nodiscard]] Waveform shape_bits(const BitVector& bits, double beta,
-                                  int samples_per_symbol);
-
 /// Worst-case inter-symbol interference of the pulse at symbol-spaced
 /// sampling instants: sum |p(kT)| / p(0) over k != 0. Zero (numerically)
 /// for any valid raised cosine — the Nyquist criterion.
 [[nodiscard]] double isi_at_symbol_instants(std::span<const double> taps,
                                             int samples_per_symbol);
-
-/// Occupied (two-sided baseband) bandwidth of a raised-cosine stream at
-/// symbol rate `symbol_rate_hz`: (1 + beta) * Rs.
-[[nodiscard]] double occupied_bandwidth_hz(double beta,
-                                           double symbol_rate_hz);
 
 /// Symbol rate that fits in `channel_hz` at roll-off `beta`:
 /// Rs = B / (1 + beta). beta = 1 reproduces the paper's B/2.

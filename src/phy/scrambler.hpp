@@ -31,9 +31,6 @@ class Scrambler {
   /// clarity. Must be called on a Scrambler with the same seed/state.
   [[nodiscard]] BitVector descramble(const BitVector& bits);
 
-  /// Reset to `seed`.
-  void reset(std::uint16_t seed);
-
   [[nodiscard]] std::uint16_t state() const { return state_; }
 
   /// Longest run of identical bits in `bits` (the dc-balance metric the

@@ -17,15 +17,6 @@ double mean_power(std::span<const Complex> samples) {
   return sum / static_cast<double>(samples.size());
 }
 
-void scale(Waveform& samples, double gain) {
-  kern::dispatch().scale_real(samples.data(), gain, samples.size());
-}
-
-void apply_channel(Waveform& samples, Complex coefficient) {
-  kern::dispatch().scale_complex(samples.data(), coefficient,
-                                 samples.size());
-}
-
 void add_awgn(Waveform& samples, double noise_power, std::mt19937_64& rng) {
   assert(noise_power >= 0.0);
   if (noise_power == 0.0) return;

@@ -19,12 +19,6 @@ using Waveform = std::vector<Complex>;
 /// Mean sample power of `samples` (sum |x|^2 / N). Empty input returns 0.
 [[nodiscard]] double mean_power(std::span<const Complex> samples);
 
-/// Scale every sample by the real factor `gain`.
-void scale(Waveform& samples, double gain);
-
-/// Apply a constant complex channel coefficient.
-void apply_channel(Waveform& samples, Complex coefficient);
-
 /// Add circularly-symmetric complex Gaussian noise of total power
 /// `noise_power` (variance split evenly over I and Q) in place.
 void add_awgn(Waveform& samples, double noise_power, std::mt19937_64& rng);

@@ -27,6 +27,5 @@ double NoiseModel::power_dbm(double bandwidth_hz) const {
   return watts_to_dbm(power_w(bandwidth_hz));
 }
 
-double NoiseModel::density_dbm_per_hz() const { return power_dbm(1.0); }
 
 }  // namespace mmtag::phys

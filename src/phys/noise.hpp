@@ -29,9 +29,6 @@ class NoiseModel {
   /// Total noise power in a bandwidth of `bandwidth_hz` [dBm].
   [[nodiscard]] double power_dbm(double bandwidth_hz) const;
 
-  /// Noise power spectral density [dBm/Hz], including the noise figure.
-  [[nodiscard]] double density_dbm_per_hz() const;
-
   [[nodiscard]] double temperature_k() const { return temperature_k_; }
   [[nodiscard]] double noise_figure_db() const { return noise_figure_db_; }
 

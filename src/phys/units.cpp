@@ -28,14 +28,6 @@ double watts_to_dbm(double watts) {
 
 double dbm_to_watts(double dbm) { return std::pow(10.0, dbm / 10.0) * 1e-3; }
 
-double milliwatts_to_dbm(double milliwatts) {
-  return watts_to_dbm(milliwatts * 1e-3);
-}
-
-double sum_powers_dbm(double a_dbm, double b_dbm) {
-  return watts_to_dbm(dbm_to_watts(a_dbm) + dbm_to_watts(b_dbm));
-}
-
 double wavelength_m(double hz) {
   assert(hz > 0.0);
   return kSpeedOfLight / hz;

@@ -18,10 +18,6 @@ PowerDetector PowerDetector::mmtag_default() {
   return PowerDetector(phys::NoiseModel::mmtag_reader(), Params{});
 }
 
-double PowerDetector::noise_floor_dbm() const {
-  return noise_.power_dbm(params_.bandwidth_hz);
-}
-
 double PowerDetector::measure_dbm(double true_power_dbm,
                                   std::mt19937_64& rng) const {
   const double signal_w = phys::dbm_to_watts(true_power_dbm);

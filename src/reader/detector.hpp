@@ -27,9 +27,6 @@ class PowerDetector {
   /// The prototype detector: mmTag reader noise model, 20 MHz RBW.
   [[nodiscard]] static PowerDetector mmtag_default();
 
-  /// Noise floor of the current bandwidth [dBm].
-  [[nodiscard]] double noise_floor_dbm() const;
-
   /// One power measurement of a true signal `true_power_dbm`: adds the
   /// thermal floor and chi-squared estimation jitter (scaled by 1/sqrt(K)
   /// for K averages) [dBm].

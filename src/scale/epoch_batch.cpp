@@ -21,13 +21,6 @@ BatchLinkModel BatchLinkModel::from_budget(
   return model;
 }
 
-double BatchLinkModel::rate_for_d2(double d2) const {
-  for (std::size_t t = 0; t < tier_r2_m2.size(); ++t) {
-    if (d2 < tier_r2_m2[t]) return tier_rate_bps[t];
-  }
-  return 0.0;
-}
-
 const BatchResult& EpochBatcher::evaluate(const TagStore& store,
                                           const std::vector<TagSlot>& slots,
                                           double rx, double ry,
@@ -55,7 +48,8 @@ const BatchResult& EpochBatcher::evaluate(const TagStore& store,
   // Tier sweep, slowest (longest range) to fastest: each pass overwrites
   // the rate where the tier's squared range is cleared, so the survivor
   // is the fastest achievable tier. The rates are copied constants — no
-  // per-element arithmetic — so this matches rate_for_d2 bit-for-bit.
+  // per-element arithmetic — so this matches a scalar first-tier-cleared
+  // scan bit-for-bit.
   for (std::size_t t = model.tier_r2_m2.size(); t-- > 0;) {
     k.threshold_below(d2_.data(), n, model.tier_r2_m2[t], tier_hit_.data());
     const double rate = model.tier_rate_bps[t];

@@ -41,11 +41,6 @@ struct BatchLinkModel {
   /// Solve every tier of `rates` against `budget` in closed form.
   [[nodiscard]] static BatchLinkModel from_budget(
       const phys::BackscatterLinkBudget& budget, const phy::RateTable& rates);
-
-  /// Scalar reference: fastest tier rate achievable at squared distance
-  /// `d2` [bit/s], 0 when undetectable. The batched path must agree with
-  /// this bit-for-bit.
-  [[nodiscard]] double rate_for_d2(double d2) const;
 };
 
 /// Result view of one batch evaluation; spans are valid until the next

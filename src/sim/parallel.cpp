@@ -1,7 +1,9 @@
 #include "src/sim/parallel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "src/obs/gate.hpp"
 #include "src/obs/metrics.hpp"
@@ -35,13 +37,16 @@ obs::Histogram& pool_batch_ns_metric() {
 int default_thread_count() {
   if (const char* env = std::getenv("MMTAG_THREADS")) {
     const int parsed = std::atoi(env);
-    if (parsed > 0) return parsed;
+    if (parsed > 0 && parsed <= kMaxThreads) return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? std::min(static_cast<int>(hw), kMaxThreads) : 1;
 }
 
 ThreadPool::ThreadPool(int threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool: more than kMaxThreads threads");
+  }
   if (threads <= 0) threads = default_thread_count();
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int t = 1; t < threads; ++t) {

@@ -32,9 +32,15 @@
 
 namespace mmtag::sim {
 
+/// Largest thread count a ThreadPool accepts. Far above any host this
+/// runs on; it stops a mistyped count from asking the OS for 100000
+/// threads.
+inline constexpr int kMaxThreads = 1024;
+
 /// Worker count used when a pool is built with `threads <= 0`: the
-/// MMTAG_THREADS environment variable when set to a positive integer,
-/// otherwise std::thread::hardware_concurrency() (at least 1).
+/// MMTAG_THREADS environment variable when set to an integer in
+/// [1, kMaxThreads], otherwise std::thread::hardware_concurrency()
+/// (at least 1, at most kMaxThreads).
 [[nodiscard]] int default_thread_count();
 
 /// A fixed-size pool of std::thread workers executing index ranges.
@@ -47,7 +53,9 @@ namespace mmtag::sim {
 /// synchronisation overhead.
 class ThreadPool {
  public:
-  /// `threads <= 0` selects default_thread_count().
+  /// `threads <= 0` selects default_thread_count(). Throws
+  /// std::invalid_argument (in every build type) above kMaxThreads,
+  /// before any worker starts.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

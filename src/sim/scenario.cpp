@@ -9,6 +9,15 @@
 
 namespace mmtag::sim {
 
+namespace {
+
+/// Codebook the tracker re-acquires with: 17-degree beams over +-1.2 rad.
+constexpr double kSectorMinRad = -1.2;
+constexpr double kSectorMaxRad = 1.2;
+constexpr double kBeamwidthDeg = 17.0;
+
+}  // namespace
+
 LinkScenario::LinkScenario(reader::MmWaveReader reader, phy::RateTable rates,
                            Config config)
     : reader_(std::move(reader)),
@@ -37,26 +46,23 @@ ScenarioResult LinkScenario::run(double duration_s, std::uint64_t seed) {
   assert(duration_s > 0.0);
   auto rng = make_rng(seed);
 
-  const auto codebook = antenna::uniform_codebook(
-      config_.sector_min_rad, config_.sector_max_rad, config_.beamwidth_deg);
+  const auto codebook =
+      antenna::uniform_codebook(kSectorMinRad, kSectorMaxRad, kBeamwidthDeg);
   reader::BeamTracker tracker(
       reader::BeamScanner(reader_, reader::PowerDetector::mmtag_default()),
       codebook, config_.tracking);
   phy::RateController controller(rates_, config_.rate_control);
 
   ScenarioResult result;
-  double previous_heading = config_.fixed_orientation_rad;
+  double previous_heading = 0.0;  // Until the tag first moves.
   for (double t = 0.0; t <= duration_s + 1e-12; t += config_.step_s) {
     const channel::Vec2 pos = tag_path_->position(t);
 
     // Orientation policy.
-    double orientation = config_.fixed_orientation_rad;
+    double orientation = 0.0;
     switch (config_.orientation) {
       case TagOrientation::kFaceReader:
         orientation = channel::bearing_rad(pos, reader_.pose().position);
-        break;
-      case TagOrientation::kFixedWorld:
-        orientation = config_.fixed_orientation_rad;
         break;
       case TagOrientation::kFollowVelocity: {
         const channel::Vec2 ahead =

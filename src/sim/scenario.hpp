@@ -21,7 +21,6 @@ namespace mmtag::sim {
 /// How the tag's boresight evolves along its trajectory.
 enum class TagOrientation {
   kFaceReader,      ///< Always faces the reader (worn/badge-like).
-  kFixedWorld,      ///< Keeps a fixed world orientation (mounted).
   kFollowVelocity,  ///< Faces the direction of motion (vehicle/headset).
 };
 
@@ -49,14 +48,9 @@ class LinkScenario {
  public:
   struct Config {
     double step_s = 0.1;
-    double fixed_orientation_rad = 0.0;  ///< For kFixedWorld.
     TagOrientation orientation = TagOrientation::kFaceReader;
     phy::RateController::Params rate_control;
     reader::BeamTracker::Params tracking;
-    /// Codebook the tracker re-acquires with.
-    double sector_min_rad = -1.2;
-    double sector_max_rad = 1.2;
-    double beamwidth_deg = 17.0;
   };
 
   /// `reader` is the fixed observer; the tag follows `tag_trajectory`.

@@ -1,7 +1,6 @@
 #include "src/sim/sweep.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace mmtag::sim {
 
@@ -16,14 +15,6 @@ std::vector<double> linspace(double first, double last, int count) {
   for (int i = 0; i < count; ++i) {
     values.push_back(first + (last - first) * i / (count - 1));
   }
-  return values;
-}
-
-std::vector<double> logspace(double first, double last, int count) {
-  assert(first > 0.0 && last > 0.0);
-  std::vector<double> values = linspace(std::log10(first), std::log10(last),
-                                        count);
-  for (double& v : values) v = std::pow(10.0, v);
   return values;
 }
 

@@ -9,9 +9,4 @@ namespace mmtag::sim {
 [[nodiscard]] std::vector<double> linspace(double first, double last,
                                            int count);
 
-/// `count` logarithmically spaced values from `first` to `last` inclusive
-/// (both must be positive).
-[[nodiscard]] std::vector<double> logspace(double first, double last,
-                                           int count);
-
 }  // namespace mmtag::sim

@@ -19,7 +19,6 @@ TEST(Arq, PerfectChannelIsOneShot) {
   EXPECT_EQ(stats.frames_delivered, 50);
   EXPECT_EQ(stats.transmissions, 50);
   EXPECT_EQ(stats.frames_failed, 0);
-  EXPECT_DOUBLE_EQ(stats.efficiency(), 1.0);
 }
 
 TEST(Arq, DeadChannelDeliversNothing) {
@@ -102,7 +101,6 @@ TEST(Arq, RequeryExhaustionTerminatesAndIsCounted) {
   EXPECT_EQ(stats.transmissions, 10);
   EXPECT_EQ(stats.query_failures,
             10L * config.max_requeries_per_frame);
-  EXPECT_DOUBLE_EQ(stats.efficiency(), 0.0);
 }
 
 reader::LinkReport link_with_power(double dbm) {

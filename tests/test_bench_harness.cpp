@@ -121,6 +121,21 @@ TEST(Parser, CountBelowOneFailsWithExitCode2) {
   EXPECT_EQ(tags, 1);
 }
 
+TEST(Parser, ThreadsAboveTheCapFailWithExitCode2) {
+  // Parsing starts no thread; the cap keeps a typo from reaching the pool.
+  for (const char* bad : {"1025", "100000", "3000000000"}) {
+    Parser parser("unit");
+    Argv argv({"bench_unit", "--threads", bad});
+    EXPECT_FALSE(parser.parse(argv.argc(), argv.argv())) << bad;
+    EXPECT_EQ(parser.exit_code(), 2) << bad;
+    EXPECT_EQ(parser.options().threads, 0) << bad;
+  }
+  Parser parser("unit");
+  Argv argv({"bench_unit", "--threads", "1024"});
+  ASSERT_TRUE(parser.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(parser.options().threads, 1024);
+}
+
 TEST(Parser, NonFiniteOrNegativeThresholdFailsWithExitCode2) {
   // Under nan no "rel > threshold" test is ever true, so every compare
   // would pass; a negative tolerance is meaningless.

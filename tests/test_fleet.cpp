@@ -47,28 +47,11 @@ TEST(Layout, IsDeterministicAndInBounds) {
     const auto pb = b.tags[i].pose().position;
     EXPECT_DOUBLE_EQ(pa.x, pb.x);
     EXPECT_DOUBLE_EQ(pa.y, pb.y);
-    EXPECT_GE(pa.x, config.margin_m);
-    EXPECT_LE(pa.x, config.width_m - config.margin_m);
-    EXPECT_GE(pa.y, config.margin_m);
-    EXPECT_LE(pa.y, config.height_m - config.margin_m);
+    EXPECT_GE(pa.x, kLayoutMarginM);
+    EXPECT_LE(pa.x, config.width_m - kLayoutMarginM);
+    EXPECT_GE(pa.y, kLayoutMarginM);
+    EXPECT_LE(pa.y, config.height_m - kLayoutMarginM);
   }
-}
-
-TEST(Layout, GridPlacementCoversTheFloor) {
-  LayoutConfig config;
-  config.width_m = 10.0;
-  config.height_m = 6.0;
-  config.readers = 2;
-  config.tags = 12;
-  config.placement = TagPlacement::kGrid;
-  const FleetLayout layout = make_layout(config);
-  // Grid tags spread across both halves of the room.
-  int left = 0;
-  for (const auto& tag : layout.tags) {
-    if (tag.pose().position.x < config.width_m / 2.0) ++left;
-  }
-  EXPECT_GT(left, 2);
-  EXPECT_LT(left, 10);
 }
 
 TEST(FleetSimulator, ReadsMostTagsAndProducesSaneStats) {
@@ -160,26 +143,6 @@ TEST(FleetCoordinator, TdmSharesAirtimeWithoutInterference) {
   }
   // A quarter of the airtime caps reader utilization at a quarter.
   EXPECT_LE(result.stats.reader_utilization, 0.25 + 1e-9);
-}
-
-TEST(FleetCoordinator, ChannelizationReducesInterferenceLoad) {
-  FleetConfig same = small_fleet();
-  same.coordination.policy = CoordinationPolicy::kSimultaneous;
-  FleetConfig channelized = small_fleet();
-  channelized.coordination.policy = CoordinationPolicy::kChannelized;
-  channelized.coordination.channels = 4;
-
-  const FleetResult raw = FleetSimulator(same).run();
-  const FleetResult part = FleetSimulator(channelized).run();
-  double worst_raw = -400.0;
-  double worst_part = -400.0;
-  for (std::size_t i = 0; i < raw.plans.size(); ++i) {
-    worst_raw = std::max(worst_raw, raw.plans[i].interference_dbm);
-    worst_part = std::max(worst_part, part.plans[i].interference_dbm);
-  }
-  EXPECT_LT(worst_part, worst_raw);
-  // Less interference can only help service.
-  EXPECT_GE(part.stats.tags_read, raw.stats.tags_read);
 }
 
 TEST(FleetFaults, SimultaneousMultiReaderLossEvacuatesEveryTag) {
@@ -307,17 +270,14 @@ TEST(FleetSimulator, FrozenFingerprintsAreBitIdentical) {
 
 TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
   // Two tags share one beam a metre from the reader; the second sits
-  // behind a blockage that swallows every poll. The cell's retry ladder must burn
-  // the original poll plus poll_retry_budget retries, then bench the tag
-  // for exactly quarantine_epochs epochs.
+  // behind a blockage that swallows every poll. The cell's retry ladder
+  // must burn the original poll plus kPollRetryBudget retries, then bench
+  // the tag for exactly kQuarantineEpochs epochs (a 1-epoch sentence).
   const channel::Environment env;
   const phy::RateTable rates = phy::RateTable::mmtag_standard();
-  CellConfig config;
-  config.recovery.poll_retry_budget = 2;
-  config.recovery.quarantine_epochs = 2;
   ReaderCell cell(
       0, reader::MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0}),
-      &env, &rates, config);
+      &env, &rates, CellConfig{});
   const std::vector<core::MmTag> tags = {
       core::MmTag::prototype_at(core::Pose{{1.0, 0.0}, 3.14159}, 1),
       core::MmTag::prototype_at(core::Pose{{1.0, 0.05}, 3.14159}, 2)};
@@ -337,7 +297,7 @@ TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
     return cell.run_epoch(tags, roster, CellPlan{}, start_s, 0.02, rng,
                           &faults);
   };
-  const long burn = 1 + config.recovery.poll_retry_budget;
+  const long burn = 1 + kPollRetryBudget;
 
   const CellEpochResult first = run();
   EXPECT_EQ(first.polls_timed_out, burn);
@@ -345,9 +305,8 @@ TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
   EXPECT_EQ(first.service[1].polls, burn);
   EXPECT_GT(first.service[0].delivered_bits, 0.0);  // Neighbour unharmed.
 
-  // Two epochs of sentence: the tag is neither discovered nor polled.
-  for (int sitting = 0; sitting < config.recovery.quarantine_epochs;
-       ++sitting) {
+  // The sentence: the tag is neither discovered nor polled.
+  for (int sitting = 0; sitting < kQuarantineEpochs; ++sitting) {
     const CellEpochResult benched = run();
     EXPECT_EQ(benched.polls_timed_out, 0) << "sitting=" << sitting;
     EXPECT_EQ(benched.quarantines, 0) << "sitting=" << sitting;
@@ -368,12 +327,23 @@ TEST(ReaderCell, BlockedTagServesItsQuarantineSentence) {
   EXPECT_EQ(restarted.quarantines, 1);
 
   // A flaky tag that answers in between failures restarts its count each
-  // time, so it burns more timeouts than one budget before its sentence.
-  (void)cell.on_reader_restarted();
+  // time, so it can burn more timeouts than one budget before its
+  // sentence. Without the reset every sentence would follow exactly
+  // `burn` timeouts; one epoch in eight is that unlucky anyway, so look
+  // for the reset over several.
   faults.block_probability = 0.5;
-  const CellEpochResult flaky = run();
-  EXPECT_GT(flaky.polls_timed_out, burn);
-  EXPECT_GT(flaky.service[1].delivered_bits, 0.0);
+  int resets_seen = 0;
+  double delivered_bits = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    (void)cell.on_reader_restarted();
+    const CellEpochResult flaky = run();
+    if (flaky.quarantines == 1 && flaky.polls_timed_out > burn) {
+      ++resets_seen;
+    }
+    delivered_bits += flaky.service[1].delivered_bits;
+  }
+  EXPECT_GT(resets_seen, 0);
+  EXPECT_GT(delivered_bits, 0.0);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include "src/antenna/codebook.hpp"
 #include "src/baselines/fixed_beam_tag.hpp"
-#include "src/channel/mobility.hpp"
 #include "src/mac/inventory.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
@@ -76,14 +75,15 @@ TEST(EndToEnd, OrbitingTagStaysConnectedWhereFixedBeamDies) {
       core::Pose{{0.0, 0.0}, 0.0});
 
   const double radius = phys::feet_to_m(4.0);
-  const channel::OrbitMobility orbit({0.0, 0.0}, radius, 0.2, -0.6);
 
   int van_atta_alive = 0;
   int fixed_alive = 0;
   constexpr int kSteps = 12;
   for (int step = 0; step < kSteps; ++step) {
     const double t = step * 0.5;
-    const channel::Vec2 pos = orbit.position(t);
+    const double angle = -0.6 + 0.2 * t;  // Orbit at 0.2 rad/s.
+    const channel::Vec2 pos =
+        channel::Vec2{std::cos(angle), std::sin(angle)} * radius;
     // The tag keeps a FIXED world orientation while it orbits — exactly the
     // situation where a fixed-beam tag loses alignment.
     const core::Pose pose{pos, phys::kPi};

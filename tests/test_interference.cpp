@@ -53,7 +53,10 @@ TEST(Interference, TotalAddsLinearly) {
       cross_reader_interference_dbm(readers[1], readers[0], env);
   const double from_c =
       cross_reader_interference_dbm(readers[2], readers[0], env);
-  EXPECT_NEAR(total, phys::sum_powers_dbm(from_b, from_c), 1e-9);
+  EXPECT_NEAR(total,
+              phys::watts_to_dbm(phys::dbm_to_watts(from_b) +
+                                 phys::dbm_to_watts(from_c)),
+              1e-9);
 }
 
 TEST(Interference, SingleReaderHasNoInterference) {

@@ -45,31 +45,5 @@ TEST(WaypointMobility, SinglePointActsStatic) {
   EXPECT_DOUBLE_EQ(route.total_duration_s(), 0.0);
 }
 
-TEST(OrbitMobility, StartsAtStartAngle) {
-  const OrbitMobility orbit({0, 0}, 2.0, 1.0, 0.0);
-  EXPECT_NEAR(orbit.position(0.0).x, 2.0, 1e-12);
-  EXPECT_NEAR(orbit.position(0.0).y, 0.0, 1e-12);
-}
-
-TEST(OrbitMobility, QuarterTurn) {
-  const OrbitMobility orbit({1, 1}, 1.0, phys::kPi / 2.0, 0.0);
-  const Vec2 p = orbit.position(1.0);  // 90 degrees later.
-  EXPECT_NEAR(p.x, 1.0, 1e-12);
-  EXPECT_NEAR(p.y, 2.0, 1e-12);
-}
-
-// Property: an orbit stays at constant radius from its centre.
-class OrbitRadiusTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(OrbitRadiusTest, RadiusConstant) {
-  const double t = GetParam();
-  const Vec2 center{2.0, -1.0};
-  const OrbitMobility orbit(center, 3.5, 0.7, 1.1);
-  EXPECT_NEAR(distance(orbit.position(t), center), 3.5, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Times, OrbitRadiusTest,
-                         ::testing::Values(0.0, 0.3, 1.7, 10.0, 123.0));
-
 }  // namespace
 }  // namespace mmtag::channel

@@ -13,7 +13,7 @@ namespace {
 TEST(Noise, DensityAt290KelvinIsMinus174) {
   // The classic -174 dBm/Hz figure is defined at T0 = 290 K, NF = 0.
   const NoiseModel ideal(kStandardNoiseTemperatureK, 0.0);
-  EXPECT_NEAR(ideal.density_dbm_per_hz(), -173.98, 0.01);
+  EXPECT_NEAR(ideal.power_dbm(1.0), -173.98, 0.01);
 }
 
 TEST(Noise, PaperNoiseFloors) {

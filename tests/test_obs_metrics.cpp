@@ -199,7 +199,6 @@ TEST(Registry, HistogramViewReportsDistribution) {
   MMTAG_SKIP_IF_OBS_DISABLED();
   Registry& registry = Registry::instance();
   Histogram& h = registry.histogram("test.registry.view");
-  h.reset();
   for (std::uint64_t v = 1; v <= 10; ++v) h.record(v);
   bool found = false;
   for (const Registry::HistogramView& view : registry.histograms()) {

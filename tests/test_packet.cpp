@@ -81,7 +81,7 @@ TEST(Packet, PrependDoesNotMovePayloadBytes) {
   EXPECT_EQ(pkt.tailroom(), 0u);
 }
 
-TEST(Packet, ConsumeAndTrimShrinkTheWindow) {
+TEST(Packet, ConsumeShrinksTheWindow) {
   PacketPool pool(1, 32, 8);
   Packet pkt = pool.alloc();
   ASSERT_TRUE(pkt.valid());
@@ -93,12 +93,8 @@ TEST(Packet, ConsumeAndTrimShrinkTheWindow) {
   EXPECT_EQ(pkt.size(), 6u);
   EXPECT_EQ(pkt.headroom(), 12u);  // Consumed bytes become headroom.
 
-  EXPECT_TRUE(pkt.trim(2));  // Drop a trailer.
-  EXPECT_EQ(pkt.size(), 4u);
-
-  EXPECT_FALSE(pkt.consume(5));  // Larger than the window: refused,
-  EXPECT_FALSE(pkt.trim(5));     // window untouched.
-  EXPECT_EQ(pkt.size(), 4u);
+  EXPECT_FALSE(pkt.consume(7));  // Larger than the window: refused,
+  EXPECT_EQ(pkt.size(), 6u);     // window untouched.
 }
 
 TEST(Packet, MoveTransfersOwnershipExactlyOnce) {

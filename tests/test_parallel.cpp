@@ -7,6 +7,7 @@
 #include "src/sim/parallel.hpp"
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -56,8 +57,29 @@ TEST(ThreadPool, SingleThreadPoolRunsInline) {
   });
 }
 
+TEST(ThreadPool, MoreThanMaxThreadsIsRejectedBeforeAnyWorkerStarts) {
+  EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), std::invalid_argument);
+}
+
 TEST(DefaultThreadCount, IsPositive) {
   EXPECT_GE(default_thread_count(), 1);
+}
+
+TEST(DefaultThreadCount, IgnoresAnOutOfRangeEnvironmentValue) {
+  const char* saved = std::getenv("MMTAG_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("MMTAG_THREADS", "100000", 1);
+  const int count = default_thread_count();
+  ::setenv("MMTAG_THREADS", "3", 1);
+  EXPECT_EQ(default_thread_count(), 3);
+  if (saved != nullptr) {
+    ::setenv("MMTAG_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("MMTAG_THREADS");
+  }
+  EXPECT_GE(count, 1);
+  EXPECT_LE(count, kMaxThreads);
+  EXPECT_NE(count, 100000);
 }
 
 TEST(ParallelSweep, PreservesIndexOrderAndFillsStats) {

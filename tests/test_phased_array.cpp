@@ -3,29 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/phys/constants.hpp"
-#include "src/phys/units.hpp"
-
 namespace mmtag::antenna {
 namespace {
-
-TEST(PhasedArray, PeakGainAtSteerAngle) {
-  PhasedArray array = PhasedArray::typical_24ghz(16);
-  array.steer_to(phys::deg_to_rad(25.0));
-  const double peak = array.peak_gain_dbi();
-  // 16 elements: ~12 dB array gain + element gain, minus quantization loss.
-  EXPECT_GT(peak, 14.0);
-  EXPECT_LT(array.gain_dbi(phys::deg_to_rad(-25.0)), peak - 10.0);
-}
-
-TEST(PhasedArray, SteeringMovesTheBeam) {
-  PhasedArray array = PhasedArray::typical_24ghz(16);
-  array.steer_to(0.0);
-  const double broadside = array.gain_dbi(0.0);
-  array.steer_to(phys::deg_to_rad(30.0));
-  EXPECT_LT(array.gain_dbi(0.0), broadside - 6.0);
-  EXPECT_GT(array.gain_dbi(phys::deg_to_rad(30.0)), broadside - 3.0);
-}
 
 TEST(PhasedArray, DcPowerIsWatts) {
   // "phased arrays ... have high power consumption (a few watts)" (paper
@@ -39,57 +18,6 @@ TEST(PhasedArray, PowerScalesWithElements) {
   EXPECT_GT(PhasedArray::typical_24ghz(64).dc_power_w(),
             PhasedArray::typical_24ghz(8).dc_power_w());
 }
-
-TEST(QuantizePhases, ZeroBitsIsIdentity) {
-  const std::vector<Complex> w = {{0.5, 0.5}, {-0.3, 0.1}};
-  const auto q = quantize_phases(w, 0);
-  EXPECT_EQ(q[0], w[0]);
-  EXPECT_EQ(q[1], w[1]);
-}
-
-TEST(QuantizePhases, PreservesMagnitude) {
-  const std::vector<Complex> w = {std::polar(0.7, 1.234),
-                                  std::polar(0.2, -2.5)};
-  const auto q = quantize_phases(w, 3);
-  EXPECT_NEAR(std::abs(q[0]), 0.7, 1e-12);
-  EXPECT_NEAR(std::abs(q[1]), 0.2, 1e-12);
-}
-
-// Property: quantization phase error is bounded by half a step.
-class QuantizeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(QuantizeTest, PhaseErrorWithinHalfStep) {
-  const int bits = GetParam();
-  const double step = phys::kTwoPi / std::pow(2.0, bits);
-  for (double phase = -3.0; phase <= 3.0; phase += 0.37) {
-    const std::vector<Complex> w = {std::polar(1.0, phase)};
-    const auto q = quantize_phases(w, bits);
-    const double err = phys::wrap_angle_rad(std::arg(q[0]) - phase);
-    EXPECT_LE(std::abs(err), step / 2.0 + 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bits, QuantizeTest, ::testing::Values(1, 2, 3, 4, 6));
-
-// Property: more quantization bits never reduce the steered peak gain
-// (with identical steering).
-class QuantizedGainTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(QuantizedGainTest, MoreBitsAtLeastAsGood) {
-  const double steer = GetParam();
-  PhasedArray::Params coarse_params;
-  coarse_params.phase_bits = 2;
-  PhasedArray::Params fine_params;
-  fine_params.phase_bits = 6;
-  PhasedArray coarse(coarse_params, phys::kMmTagCarrierHz);
-  PhasedArray fine(fine_params, phys::kMmTagCarrierHz);
-  coarse.steer_to(steer);
-  fine.steer_to(steer);
-  EXPECT_GE(fine.peak_gain_dbi(), coarse.peak_gain_dbi() - 0.3);
-}
-
-INSTANTIATE_TEST_SUITE_P(Angles, QuantizedGainTest,
-                         ::testing::Values(-0.9, -0.4, 0.13, 0.55, 1.0));
 
 }  // namespace
 }  // namespace mmtag::antenna

@@ -33,40 +33,10 @@ TEST(RaisedCosine, BetaZeroIsSinc) {
   EXPECT_NEAR(taps[center + 2], 2.0 / 3.14159265358979, 1e-6);
 }
 
-TEST(ApplyFir, IdentityFilter) {
-  const Waveform x = {{1, 0}, {2, 0}, {3, 0}, {4, 0}};
-  const std::vector<double> delta = {1.0};
-  const Waveform y = apply_fir(x, delta);
-  ASSERT_EQ(y.size(), x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-12);
-  }
-}
-
-TEST(ApplyFir, MovingAverageSmoothes) {
-  const Waveform x = {{0, 0}, {3, 0}, {0, 0}};
-  const std::vector<double> avg = {1.0 / 3, 1.0 / 3, 1.0 / 3};
-  const Waveform y = apply_fir(x, avg);
-  EXPECT_NEAR(y[1].real(), 1.0, 1e-12);
-}
-
 TEST(Bandwidth, PaperCornerIsBetaOne) {
   // Rs = B/(1+beta); beta = 1 gives the paper's rate = B/2 (OOK, 1 b/sym).
   EXPECT_DOUBLE_EQ(symbol_rate_for_channel_hz(1.0, 2e9), 1e9);
   EXPECT_DOUBLE_EQ(symbol_rate_for_channel_hz(0.25, 2e9), 1.6e9);
-  EXPECT_DOUBLE_EQ(occupied_bandwidth_hz(1.0, 1e9), 2e9);
-}
-
-TEST(ShapeBits, SamplesAtSymbolInstantsMatchBits) {
-  // Zero-ISI property end to end: sampling the shaped stream at symbol
-  // instants recovers the impulse amplitudes.
-  const BitVector bits = {false, true, false, false, true};
-  const int sps = 8;
-  const Waveform shaped = shape_bits(bits, 0.35, sps);
-  for (std::size_t b = 0; b < bits.size(); ++b) {
-    const double expected = bits[b] ? 0.0 : 1.0;
-    EXPECT_NEAR(shaped[b * sps].real(), expected, 0.02);
-  }
 }
 
 // Nyquist criterion: the raised cosine has (numerically) zero ISI at

@@ -63,7 +63,7 @@ TEST(RayTrace, BlockedLosFallsBackToWallPath) {
   Environment env;
   env.add_wall(Wall{Segment{{-5, 2}, {5, 2}}, 0.2});
   env.add_obstacle(Obstacle{Segment{{0, -0.5}, {0, 0.5}}});
-  const Path best = best_path(env, {-1, 0}, {1, 0});
+  const Path best = trace_paths(env, {-1, 0}, {1, 0}).front();
   EXPECT_EQ(best.kind, PathKind::kReflected);
   EXPECT_LT(best.excess_loss_db, blockage_loss_db());
 }

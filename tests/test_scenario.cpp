@@ -1,6 +1,7 @@
 // Scenario-engine tests (src/sim/scenario).
 #include "src/sim/scenario.hpp"
 
+#include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,23 @@
 
 namespace mmtag::sim {
 namespace {
+
+/// Circular orbit around the reader at the origin.
+class Orbit final : public channel::Mobility {
+ public:
+  Orbit(double radius_m, double rate_rad_per_s, double start_rad)
+      : radius_(radius_m), rate_(rate_rad_per_s), start_(start_rad) {}
+
+  [[nodiscard]] channel::Vec2 position(double t_s) const override {
+    const double angle = start_ + rate_ * t_s;
+    return channel::Vec2{std::cos(angle), std::sin(angle)} * radius_;
+  }
+
+ private:
+  double radius_;
+  double rate_;
+  double start_;
+};
 
 LinkScenario basic_scenario(LinkScenario::Config config = {}) {
   return LinkScenario(
@@ -34,8 +52,8 @@ TEST(Scenario, OrbitingTagTracked) {
   LinkScenario::Config config;
   config.orientation = TagOrientation::kFaceReader;
   LinkScenario scenario = basic_scenario(config);
-  scenario.set_tag_trajectory(std::make_shared<channel::OrbitMobility>(
-      channel::Vec2{0.0, 0.0}, phys::feet_to_m(4.0), 0.25, -0.5));
+  scenario.set_tag_trajectory(
+      std::make_shared<Orbit>(phys::feet_to_m(4.0), 0.25, -0.5));
   const ScenarioResult result = scenario.run(4.0, 2);
   EXPECT_DOUBLE_EQ(result.connectivity, 1.0);
   EXPECT_EQ(result.full_scans, 1);
@@ -70,22 +88,6 @@ TEST(Scenario, MovingBlockerCausesNlosSteps) {
   EXPECT_GT(result.connectivity, 0.9);
 }
 
-TEST(Scenario, FixedWorldOrientationLosesBehindTag) {
-  // The tag points +x (away from a reader orbit segment behind it):
-  // a trajectory passing behind the tag's ground plane disconnects.
-  LinkScenario::Config config;
-  config.orientation = TagOrientation::kFixedWorld;
-  // Tag always faces -x (toward the reader's sector): connected only on
-  // the +x part of the orbit where its front half-plane covers the reader.
-  config.fixed_orientation_rad = phys::kPi;
-  LinkScenario scenario = basic_scenario(config);
-  scenario.set_tag_trajectory(std::make_shared<channel::OrbitMobility>(
-      channel::Vec2{0.0, 0.0}, phys::feet_to_m(3.0), 0.8, 0.0));
-  const ScenarioResult result = scenario.run(8.0, 4);
-  EXPECT_LT(result.connectivity, 0.9);
-  EXPECT_GT(result.connectivity, 0.1);
-}
-
 TEST(Scenario, ControlledRateNeverExceedsInstantaneous) {
   LinkScenario scenario = basic_scenario();
   scenario.set_tag_trajectory(std::make_shared<channel::LinearMobility>(
@@ -102,12 +104,10 @@ TEST(Scenario, ControlledRateNeverExceedsInstantaneous) {
 TEST(Scenario, DeterministicUnderSeed) {
   for (int run = 0; run < 2; ++run) {
     LinkScenario scenario = basic_scenario();
-    scenario.set_tag_trajectory(std::make_shared<channel::OrbitMobility>(
-        channel::Vec2{0.0, 0.0}, 1.0, 0.3, 0.1));
+    scenario.set_tag_trajectory(std::make_shared<Orbit>(1.0, 0.3, 0.1));
     const ScenarioResult a = scenario.run(2.0, 42);
     LinkScenario scenario_b = basic_scenario();
-    scenario_b.set_tag_trajectory(std::make_shared<channel::OrbitMobility>(
-        channel::Vec2{0.0, 0.0}, 1.0, 0.3, 0.1));
+    scenario_b.set_tag_trajectory(std::make_shared<Orbit>(1.0, 0.3, 0.1));
     const ScenarioResult b = scenario_b.run(2.0, 42);
     ASSERT_EQ(a.timeline.size(), b.timeline.size());
     for (std::size_t i = 0; i < a.timeline.size(); ++i) {

@@ -54,16 +54,6 @@ TEST(Scrambler, OutputIsBalanced) {
   EXPECT_EQ(ones, 16384u);
 }
 
-TEST(Scrambler, ResetReproducesSequence) {
-  Scrambler scrambler(0x7ABC);
-  BitVector first;
-  for (int i = 0; i < 64; ++i) first.push_back(scrambler.next_bit());
-  scrambler.reset(0x7ABC);
-  BitVector second;
-  for (int i = 0; i < 64; ++i) second.push_back(scrambler.next_bit());
-  EXPECT_EQ(first, second);
-}
-
 TEST(Scrambler, LongestRunHelper) {
   EXPECT_EQ(Scrambler::longest_run({}), 0u);
   EXPECT_EQ(Scrambler::longest_run({true}), 1u);

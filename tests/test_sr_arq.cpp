@@ -15,6 +15,11 @@
 namespace mmtag::net {
 namespace {
 
+/// A channel that delivers each packet with fixed probability `p`.
+ChannelFn fixed(double p) {
+  return [p](double) { return p; };
+}
+
 SrArqConfig clean_config(int window) {
   SrArqConfig config;
   config.window = window;
@@ -25,7 +30,7 @@ SrArqConfig clean_config(int window) {
 TEST(SrArq, PerfectChannelTakesOneRoundPerWindow) {
   SrArqSession session(clean_config(8), {});
   std::mt19937_64 rng = sim::make_rng(1);
-  const SrArqResult result = session.run(32, 1.0, rng);
+  const SrArqResult result = session.run(32, fixed(1.0), rng);
   EXPECT_EQ(result.packets_offered, 32);
   EXPECT_EQ(result.packets_delivered, 32);
   EXPECT_EQ(result.packets_dropped, 0);
@@ -34,7 +39,6 @@ TEST(SrArq, PerfectChannelTakesOneRoundPerWindow) {
   EXPECT_EQ(result.acks_received, 4);   // One block-ACK per round.
   EXPECT_EQ(result.acks_lost, 0);
   EXPECT_EQ(result.duplicate_receives, 0);
-  EXPECT_EQ(result.efficiency(), 1.0);
   ASSERT_EQ(result.delivery_latency_s.size(), 32u);
   // Latencies come back in ascending sequence order; within the single
   // burst each packet lands one slot after its predecessor.
@@ -49,7 +53,7 @@ TEST(SrArq, ElapsedDecompositionIsExact) {
   config.ack_loss_probability = 0.1;
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(7);
-  const SrArqResult result = session.run(300, 0.7, rng);
+  const SrArqResult result = session.run(300, fixed(0.7), rng);
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 300);
   const SrArqTiming& timing = session.timing();
   const double expected =
@@ -69,7 +73,7 @@ TEST(SrArq, SelectiveRepeatNeverReplaysDeliveredPackets) {
   config.max_attempts_per_packet = 64;
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(21);
-  const SrArqResult result = session.run(200, 0.5, rng);
+  const SrArqResult result = session.run(200, fixed(0.5), rng);
   EXPECT_EQ(result.packets_delivered, 200);
   EXPECT_EQ(result.duplicate_receives, 0);
   EXPECT_GT(result.transmissions, 200);  // The channel did drop packets.
@@ -81,7 +85,7 @@ TEST(SrArq, LostAcksReplayTheWindowButDeliverOnce) {
   config.ack_loss_probability = 0.5;
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(3);
-  const SrArqResult result = session.run(64, 1.0, rng);
+  const SrArqResult result = session.run(64, fixed(1.0), rng);
   // Replayed bursts reach a receiver that already has the packets:
   // discarded there, so delivery stays exactly-once.
   EXPECT_EQ(result.packets_delivered, 64);
@@ -96,7 +100,7 @@ TEST(SrArq, RetryBudgetBoundsTransmissionsAndDropsTheRest) {
   config.max_attempts_per_packet = 2;
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(11);
-  const SrArqResult result = session.run(50, 0.05, rng);
+  const SrArqResult result = session.run(50, fixed(0.05), rng);
   EXPECT_EQ(result.packets_delivered + result.packets_dropped, 50);
   EXPECT_GT(result.packets_dropped, 0);
   EXPECT_LE(result.transmissions, 50 * 2);
@@ -107,7 +111,7 @@ TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(5);
   PacketPool pool(4, config.payload_bytes, kSrHeaderBytes);
-  const SrArqResult result = session.run(64, 1.0, rng, &pool);
+  const SrArqResult result = session.run(64, fixed(1.0), rng, &pool);
   // Four slots cap the effective window at 4 packets in flight; the
   // transfer completes anyway, just in more rounds.
   EXPECT_EQ(result.packets_delivered, 64);
@@ -121,7 +125,7 @@ TEST(SrArq, PoolExhaustionThrottlesTheWindow) {
 TEST(SrArq, WindowOneDegeneratesToStopAndWait) {
   SrArqSession session(clean_config(1), {});
   std::mt19937_64 rng = sim::make_rng(9);
-  const SrArqResult result = session.run(40, 0.8, rng);
+  const SrArqResult result = session.run(40, fixed(0.8), rng);
   EXPECT_EQ(result.packets_delivered, 40);
   // One packet per round, one ACK per round: exactly the S&W cadence.
   EXPECT_EQ(result.rounds, result.transmissions);
@@ -135,8 +139,8 @@ TEST(SrArq, SeededRunsAreBitIdentical) {
   SrArqSession session(config, {});
   std::mt19937_64 rng_a = sim::make_rng(42);
   std::mt19937_64 rng_b = sim::make_rng(42);
-  const SrArqResult a = session.run(128, 0.6, rng_a);
-  const SrArqResult b = session.run(128, 0.6, rng_b);
+  const SrArqResult a = session.run(128, fixed(0.6), rng_a);
+  const SrArqResult b = session.run(128, fixed(0.6), rng_b);
   EXPECT_EQ(a.transmissions, b.transmissions);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.acks_lost, b.acks_lost);
@@ -150,7 +154,7 @@ TEST(SrArq, SeededRunsAreBitIdentical) {
 TEST(SrArq, ZeroPacketsFinishImmediately) {
   SrArqSession session(clean_config(8), {});
   std::mt19937_64 rng = sim::make_rng(1);
-  const SrArqResult result = session.run(0, 1.0, rng);
+  const SrArqResult result = session.run(0, fixed(1.0), rng);
   EXPECT_EQ(result.packets_offered, 0);
   EXPECT_EQ(result.rounds, 0);
   EXPECT_EQ(result.elapsed_s, 0.0);
@@ -161,7 +165,8 @@ TEST(SrArq, NegativePacketCountIsRejectedInEveryBuildType) {
   // state from a negative count and aborted in the allocator.
   SrArqSession session(clean_config(8), {});
   std::mt19937_64 rng = sim::make_rng(1);
-  EXPECT_THROW((void)session.run(-5, 1.0, rng), std::invalid_argument);
+  EXPECT_THROW((void)session.run(-5, fixed(1.0), rng),
+               std::invalid_argument);
   mac::EventQueue queue;
   EXPECT_THROW(session.start(
                    queue, -1, [](double) { return 1.0; }, rng, nullptr,
@@ -231,7 +236,8 @@ TEST(SrArq, DropsAreMirroredToTheSrObsCounter) {
   config.max_attempts_per_packet = 2;
   SrArqSession session(config, {});
   std::mt19937_64 rng = sim::make_rng(12);
-  const SrArqResult result = session.run(20, 0.0, rng);  // Dead channel.
+  // Dead channel.
+  const SrArqResult result = session.run(20, fixed(0.0), rng);
   EXPECT_EQ(result.packets_delivered, 0);
   EXPECT_EQ(result.packets_dropped, 20);
   if constexpr (obs::kObsEnabled) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/channel/mobility.hpp"
 #include "src/phys/constants.hpp"
 #include "src/phys/units.hpp"
 #include "src/sim/rng.hpp"
@@ -27,9 +26,10 @@ class TrackerFixture : public ::testing::Test {
 
   /// A tag orbiting the reader at 4 ft, always facing it.
   core::MmTag orbiting_tag(double t_s) const {
-    const channel::OrbitMobility orbit({0.0, 0.0}, phys::feet_to_m(4.0),
-                                       /*angular_rate=*/0.3, /*start=*/-0.4);
-    const channel::Vec2 pos = orbit.position(t_s);
+    const double angle = -0.4 + 0.3 * t_s;  // 0.3 rad/s from -0.4 rad.
+    const channel::Vec2 pos =
+        channel::Vec2{std::cos(angle), std::sin(angle)} *
+        phys::feet_to_m(4.0);
     return core::MmTag::prototype_at(
         core::Pose{pos, channel::bearing_rad(pos, {0.0, 0.0})});
   }
@@ -124,15 +124,16 @@ TEST_P(TrackerSpeedTest, ConstantCostWhileLocked) {
       BeamScanner(MmWaveReader::prototype_at(core::Pose{{0.0, 0.0}, 0.0}),
                   PowerDetector::mmtag_default()),
       codebook, BeamTracker::Params{});
-  const channel::OrbitMobility orbit({0.0, 0.0}, phys::feet_to_m(4.0),
-                                     rate_rad_s, -0.5);
   const channel::Environment env;
   const auto rates = phy::RateTable::mmtag_standard();
   int connected = 0;
   constexpr int kSteps = 20;
   for (int i = 0; i < kSteps; ++i) {
     const double t = 0.1 * i;
-    const channel::Vec2 pos = orbit.position(t);
+    const double angle = -0.5 + rate_rad_s * t;
+    const channel::Vec2 pos =
+        channel::Vec2{std::cos(angle), std::sin(angle)} *
+        phys::feet_to_m(4.0);
     const core::MmTag tag = core::MmTag::prototype_at(
         core::Pose{pos, channel::bearing_rad(pos, {0.0, 0.0})});
     if (tracker.step(t, tag, env, rates, rng).achievable_rate_bps > 0.0) {

@@ -30,14 +30,6 @@ TEST(UnitsPower, DbmConversions) {
   EXPECT_DOUBLE_EQ(watts_to_dbm(1.0), 30.0);    // 1 W = 30 dBm.
   EXPECT_NEAR(watts_to_dbm(20e-3), 13.0103, 1e-4);  // Paper: 20 mW reader.
   EXPECT_NEAR(dbm_to_watts(-30.0), 1e-6, 1e-15);
-  EXPECT_NEAR(milliwatts_to_dbm(20.0), 13.0103, 1e-4);
-}
-
-TEST(UnitsPower, SumPowersIsLinear) {
-  // Two equal powers sum to +3.01 dB.
-  EXPECT_NEAR(sum_powers_dbm(-60.0, -60.0), -56.9897, 1e-4);
-  // A much weaker term barely moves the total.
-  EXPECT_NEAR(sum_powers_dbm(-50.0, -90.0), -50.0, 1e-3);
 }
 
 TEST(UnitsFrequency, WavelengthAt24GHz) {

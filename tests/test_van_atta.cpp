@@ -31,12 +31,13 @@ TEST(VanAtta, PairingIsMirrored) {
 
 TEST(VanAtta, PrototypeBeamwidthNearPaperTwentyDegrees) {
   // Paper Sec. 7: "6 antenna elements which creates a directional reflector
-  // with 20 degree beam width". The exact closed form gives 16.9; accept
-  // the paper's rounded figure generously.
+  // with 20 degree beam width". Six elements at lambda/2 give the closed
+  // form 0.886 * 2 / 6 rad = 16.9 deg, which the paper rounds to 20.
   const VanAttaArray array = VanAttaArray::mmtag_prototype();
   const double bw = array.retro_beamwidth_deg(0.0);
   EXPECT_GT(bw, 14.0);
   EXPECT_LT(bw, 22.0);
+  EXPECT_NEAR(bw, 16.9, 0.2);
 }
 
 TEST(VanAtta, SwitchesKillTheReflection) {
@@ -47,21 +48,6 @@ TEST(VanAtta, SwitchesKillTheReflection) {
   array.set_all_switches(em::SwitchState::kOn);
   const double absorb_db = array.monostatic_gain_db(0.0);
   EXPECT_GT(reflect_db - absorb_db, 8.0);
-}
-
-TEST(VanAtta, SingleSwitchFailureDegradesGracefully) {
-  // Failure injection: one stuck-on FET costs part of the aperture but
-  // must not destroy retrodirectivity.
-  VanAttaArray array = VanAttaArray::mmtag_prototype();
-  const double healthy_db = array.monostatic_gain_db(0.0);
-  array.set_switch(2, em::SwitchState::kOn);
-  EXPECT_EQ(array.switch_state(2), em::SwitchState::kOn);
-  const double degraded_db = array.monostatic_gain_db(0.0);
-  EXPECT_LT(degraded_db, healthy_db);
-  EXPECT_GT(degraded_db, healthy_db - 10.0);
-  const double peak =
-      array.peak_reradiation_direction_rad(phys::deg_to_rad(20.0));
-  EXPECT_NEAR(phys::rad_to_deg(peak), 20.0, 5.0);
 }
 
 TEST(VanAtta, GainScalesWithElementCountSquared) {

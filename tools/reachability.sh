@@ -3,9 +3,11 @@
 # libraries define must survive in at least one product binary (a bench,
 # an example or perfbench) of a gc-sections build, or be listed in
 # tools/reachability.allow under a comment header that gives the reason it
-# is kept. The audit fails on
+# is kept. The reason is one of reference, inverse, observer or item 2
+# (see the allowlist). The audit fails on
 #   - an unreached function that the allowlist does not name (new
-#     test-only code must be listed, with its reason, or deleted), and
+#     test-only code must be listed, with its reason, or deleted),
+#   - a header that gives any other reason, and
 #   - an allowlist entry that is reached again or no longer exists (the
 #     list stays exact, so it can only shrink).
 # Usage: tools/reachability.sh [build-dir]        (default: build-reach)
@@ -70,8 +72,14 @@ comm -23 "${tmp}/defined" "${tmp}/linked" > "${tmp}/unreached"
 
 # Entries are the non-comment, non-blank lines. Each must belong to a
 # group opened by a "# <reason>: ..." header line; a blank line closes the
-# group.
-if ! awk '/^# [a-z0-9 ]+: / { header = 1; next }
+# group. The reason must name one of four kinds of safety code, so
+# no catch-all group can collect code that should be deleted instead.
+if ! awk '/^# [A-Za-z0-9 ]+: / {
+            if ($0 !~ /^# (reference|inverse|observer|item 2): /) {
+              print "FAIL: allowlist reason is not reference, inverse, observer or item 2: " $0 > "/dev/stderr"
+              bad = 1
+            }
+            header = 1; next }
           /^#/ { next }
           /^[ \t]*$/ { header = 0; next }
           !header { print "FAIL: allowlist entry outside a reason group: " $0 > "/dev/stderr"; bad = 1; next }
