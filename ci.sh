@@ -145,6 +145,18 @@ for bad in tags:0 tags:-5 epochs:0; do
     exit 1
   fi
 done
+# The examples that parse --threads themselves once let a value above
+# sim::kMaxThreads escape main as std::invalid_argument (exit 134); they
+# now refuse it with usage before any worker starts.
+for example in coverage_map metro_backhaul metro_world warehouse_chaos \
+    warehouse_fleet warehouse_inventory; do
+  rc=0
+  "${build_dir}/examples/${example}" --threads 1025 > /dev/null 2>&1 || rc=$?
+  if [ "${rc}" -ne 2 ]; then
+    echo "FAIL: ${example} --threads 1025 exited ${rc}, expected 2"
+    exit 1
+  fi
+done
 # Under --threshold nan no regression test is ever true, so every compare
 # passed; a negative threshold was accepted too (both exited 0).
 for bad in nan -1; do

@@ -10,6 +10,7 @@
 // so the map is bit-identical no matter how many threads build it.
 //
 // Flags: --threads N (worker threads), --seed S (Monte-Carlo base seed).
+// A --threads value outside 0..1024 (sim::kMaxThreads) exits 2 with usage.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -45,8 +46,14 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = MMTAG_THREADS / hardware concurrency.
   std::uint64_t base_seed = 2024;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--seed S]\n"
+                   "  --threads must be 0..%d (0 = default)\n",
+                   argv[0], sim::kMaxThreads);
+      return 2;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       base_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
   }

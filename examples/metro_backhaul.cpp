@@ -19,6 +19,7 @@
 // so the delivery-ratio margin the mesh buys is visible in one screen.
 //
 // Flags: --threads N (worker threads), --seed S, --epochs E.
+// A --threads value outside 0..1024 (sim::kMaxThreads) exits 2 with usage.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "src/deploy/fleet_stats.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/mesh/backhaul.hpp"
+#include "src/sim/parallel.hpp"
 #include "src/sim/table.hpp"
 
 int main(int argc, char** argv) {
@@ -35,8 +37,14 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 2026;
   int epochs = 4;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--seed S] [--epochs E]\n"
+                   "  --threads must be 0..%d (0 = default)\n",
+                   argv[0], sim::kMaxThreads);
+      return 2;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)

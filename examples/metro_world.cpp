@@ -11,7 +11,8 @@
 // fingerprint (bit-identical at any --threads value).
 //
 // Flags: --tags N, --epochs E, --threads N, --seed S. A tag or epoch
-// count below 1 exits 2 with usage.
+// count below 1, or a --threads value outside 0..1024 (sim::kMaxThreads),
+// exits 2 with usage.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -33,16 +34,19 @@ int main(int argc, char** argv) {
       tags = std::atoi(argv[++i]);
     if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)
       epochs = std::atoi(argv[++i]);
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      threads = -1;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
   }
-  if (tags < 1 || epochs < 1) {
+  if (tags < 1 || epochs < 1 || threads < 0) {
     std::fprintf(stderr,
                  "usage: %s [--tags N] [--epochs E] [--threads N] "
-                 "[--seed S]\n  --tags and --epochs must be >= 1\n",
-                 argv[0]);
+                 "[--seed S]\n  --tags and --epochs must be >= 1, "
+                 "--threads 0..%d (0 = default)\n",
+                 argv[0], sim::kMaxThreads);
     return 2;
   }
 

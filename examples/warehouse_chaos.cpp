@@ -11,12 +11,14 @@
 // recovery machinery buys at each intensity.
 //
 // Flags: --threads N (worker threads), --seed S, --steps K (sweep points).
+// A --threads value outside 0..1024 (sim::kMaxThreads) exits 2 with usage.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "src/deploy/fleet.hpp"
 #include "src/fault/engine.hpp"
+#include "src/sim/parallel.hpp"
 #include "src/sim/table.hpp"
 
 int main(int argc, char** argv) {
@@ -26,8 +28,14 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 2026;
   int steps = 5;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--seed S] [--steps K]\n"
+                   "  --threads must be 0..%d (0 = default)\n",
+                   argv[0], sim::kMaxThreads);
+      return 2;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc)

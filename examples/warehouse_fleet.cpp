@@ -9,11 +9,13 @@
 // Jain fairness, reader utilization.
 //
 // Flags: --threads N (worker threads), --seed S (layout + MAC streams).
+// A --threads value outside 0..1024 (sim::kMaxThreads) exits 2 with usage.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "src/deploy/fleet.hpp"
+#include "src/sim/parallel.hpp"
 #include "src/sim/table.hpp"
 
 int main(int argc, char** argv) {
@@ -22,8 +24,14 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = sim::default_thread_count().
   std::uint64_t seed = 2026;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--seed S]\n"
+                   "  --threads must be 0..%d (0 = default)\n",
+                   argv[0], sim::kMaxThreads);
+      return 2;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
   }

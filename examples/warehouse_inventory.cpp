@@ -10,6 +10,7 @@
 // milliseconds.
 //
 // Flags: --threads N (site-survey workers), --seed S (placement + Aloha).
+// A --threads value outside 0..1024 (sim::kMaxThreads) exits 2 with usage.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -29,8 +30,14 @@ int main(int argc, char** argv) {
   int threads = 0;  // 0 = MMTAG_THREADS / hardware concurrency.
   std::uint64_t seed = 2026;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      threads = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc &&
+        !sim::parse_thread_count(argv[++i], &threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [--threads N] [--seed S]\n"
+                   "  --threads must be 0..%d (0 = default)\n",
+                   argv[0], sim::kMaxThreads);
+      return 2;
+    }
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
   }

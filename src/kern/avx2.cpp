@@ -121,20 +121,6 @@ void scale_real_avx2(Complexd* x, double gain, std::size_t n) {
   for (std::size_t i = d4; i < d; ++i) p[i] *= gain;
 }
 
-void scale_complex_avx2(Complexd* x, Complexd c, std::size_t n) {
-  double* p = as_doubles(x);
-  const __m256d cv = _mm256_setr_pd(c.real(), c.imag(), c.real(), c.imag());
-  const std::size_t n2 = n & ~std::size_t{1};
-  for (std::size_t i = 0; i < n2; i += 2) {
-    _mm256_storeu_pd(p + 2 * i, cmul2(_mm256_loadu_pd(p + 2 * i), cv));
-  }
-  if (n2 != n) {
-    const Complexd a = x[n - 1];
-    x[n - 1] = Complexd(a.real() * c.real() - a.imag() * c.imag(),
-                        a.imag() * c.real() + a.real() * c.imag());
-  }
-}
-
 void fir_complex_avx2(const Complexd* x, std::size_t n, const double* taps,
                       std::size_t nt, Complexd* out) {
   const double* px = as_doubles(x);
@@ -458,7 +444,6 @@ const Kernels* avx2_table() {
       &centered_dot_energy_avx2,
       &abs_complex_avx2,
       &scale_real_avx2,
-      &scale_complex_avx2,
       &fir_complex_avx2,
       &butterfly_pass_avx2,
       &block_sum_complex_avx2,

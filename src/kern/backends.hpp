@@ -25,8 +25,6 @@ void centered_dot_energy(const double* x, const double* t, double mean,
                          std::size_t n, double* dot_out, double* energy_out);
 void abs_complex(const std::complex<double>* x, double* out, std::size_t n);
 void scale_real(std::complex<double>* x, double gain, std::size_t n);
-void scale_complex(std::complex<double>* x, std::complex<double> c,
-                   std::size_t n);
 void fir_complex(const std::complex<double>* x, std::size_t n,
                  const double* taps, std::size_t nt,
                  std::complex<double>* out);

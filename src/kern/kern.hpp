@@ -76,10 +76,6 @@ struct Kernels {
   /// In-place `x[i] *= gain` (both components).
   void (*scale_real)(std::complex<double>* x, double gain, std::size_t n);
 
-  /// In-place `x[i] *= c` with the specified complex-multiply formula.
-  void (*scale_complex)(std::complex<double>* x, std::complex<double> c,
-                        std::size_t n);
-
   // --- Filtering / transforms. ---
 
   /// "Same"-aligned FIR with real taps: for each output index `i`,

@@ -17,7 +17,6 @@ const Kernels* neon_table() {
       &scalar::centered_dot_energy,
       &scalar::abs_complex,
       &scalar::scale_real,
-      &scalar::scale_complex,
       &scalar::fir_complex,
       &scalar::butterfly_pass,
       &scalar::block_sum_complex,

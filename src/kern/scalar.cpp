@@ -93,10 +93,6 @@ void scale_real(Complexd* x, double gain, std::size_t n) {
   }
 }
 
-void scale_complex(Complexd* x, Complexd c, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = cmul(x[i], c);
-}
-
 void fir_complex(const Complexd* x, std::size_t n, const double* taps,
                  std::size_t nt, Complexd* out) {
   const std::ptrdiff_t delay = static_cast<std::ptrdiff_t>(nt / 2);
@@ -308,7 +304,6 @@ const Kernels* scalar_table() {
       &scalar::centered_dot_energy,
       &scalar::abs_complex,
       &scalar::scale_real,
-      &scalar::scale_complex,
       &scalar::fir_complex,
       &scalar::butterfly_pass,
       &scalar::block_sum_complex,

@@ -120,14 +120,6 @@ void scale_real_sse42(Complexd* x, double gain, std::size_t n) {
   }
 }
 
-void scale_complex_sse42(Complexd* x, Complexd c, std::size_t n) {
-  double* p = as_doubles(x);
-  const __m128d cv = _mm_setr_pd(c.real(), c.imag());
-  for (std::size_t i = 0; i < n; ++i) {
-    _mm_storeu_pd(p + 2 * i, cmul1(_mm_loadu_pd(p + 2 * i), cv));
-  }
-}
-
 void fir_complex_sse42(const Complexd* x, std::size_t n, const double* taps,
                        std::size_t nt, Complexd* out) {
   const double* px = as_doubles(x);
@@ -375,7 +367,6 @@ const Kernels* sse42_table() {
       &centered_dot_energy_sse42,
       &abs_complex_sse42,
       &scale_real_sse42,
-      &scale_complex_sse42,
       &fir_complex_sse42,
       &butterfly_pass_sse42,
       &block_sum_complex_sse42,

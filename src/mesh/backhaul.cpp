@@ -1,8 +1,8 @@
 #include "src/mesh/backhaul.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/deploy/layout.hpp"
 #include "src/mac/event_queue.hpp"
@@ -48,9 +48,16 @@ sim::Table backhaul_table(const BackhaulReport& report) {
 
 BackhaulSimulator::BackhaulSimulator(BackhaulConfig config)
     : config_(std::move(config)) {
-  assert(config_.payload_bytes >= 8);
-  assert(config_.pool_packets > 0);
-  assert(config_.max_frames_per_cell_epoch > 0);
+  if (config_.payload_bytes < 8) {
+    throw std::invalid_argument("BackhaulSimulator: payload_bytes < 8");
+  }
+  if (config_.pool_packets < 1) {
+    throw std::invalid_argument("BackhaulSimulator: pool_packets < 1");
+  }
+  if (config_.max_frames_per_cell_epoch < 1) {
+    throw std::invalid_argument(
+        "BackhaulSimulator: max_frames_per_cell_epoch < 1");
+  }
 }
 
 BackhaulReport BackhaulSimulator::run() {

@@ -66,6 +66,8 @@ struct BackhaulReport {
 
 class BackhaulSimulator {
  public:
+  /// Throws std::invalid_argument (in every build type) when
+  /// payload_bytes < 8, pool_packets < 1 or max_frames_per_cell_epoch < 1.
   explicit BackhaulSimulator(BackhaulConfig config);
 
   /// Run the fleet with the mesh attached. Deterministic in the config

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/stats.hpp"
@@ -130,9 +131,16 @@ MeshNetwork::MeshNetwork(const MeshTopology* topology, ForwardingConfig config,
       tables_(topology->nodes()),
       link_busy_until_s_(topology->links().size(), 0.0),
       link_busy_s_(topology->links().size(), 0.0) {
-  assert(pool_ != nullptr);
-  assert(pool_->headroom() >= MeshHeader::kWireBytes);
-  assert(config_.ttl > 0 && config_.ttl <= 255);
+  if (pool_ == nullptr) {
+    throw std::invalid_argument("MeshNetwork: null packet pool");
+  }
+  if (pool_->headroom() < MeshHeader::kWireBytes) {
+    throw std::invalid_argument(
+        "MeshNetwork: pool headroom below MeshHeader::kWireBytes");
+  }
+  if (config_.ttl < 1 || config_.ttl > 255) {
+    throw std::invalid_argument("MeshNetwork: ttl outside 1..255");
+  }
   const std::size_t n = topology_->nodes();
   link_offset_.resize(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
@@ -165,12 +173,24 @@ void MeshNetwork::begin_epoch(const std::vector<std::uint8_t>& live) {
 }
 
 void MeshNetwork::rebuild_tables(bool only_live) {
-  const std::size_t n = topology_->nodes();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (only_live && !node_live(static_cast<int>(v))) continue;
-    tables_[v] = RouteTable(protocol_.believed_topology(static_cast<int>(v)),
-                            static_cast<int>(v), topology_->gateways(),
-                            config_.routing);
+  // Nodes holding the same database believe the same topology, and
+  // converged peers in one component hold the same database: build each
+  // distinct believed topology once, for the first node that holds it.
+  std::vector<int> holders;
+  std::vector<Adjacency> believed;
+  const int n = static_cast<int>(topology_->nodes());
+  for (int v = 0; v < n; ++v) {
+    if (only_live && !node_live(v)) continue;
+    std::size_t g = 0;
+    while (g < holders.size() && !protocol_.databases_agree(holders[g], v)) {
+      ++g;
+    }
+    if (g == holders.size()) {
+      holders.push_back(v);
+      believed.push_back(protocol_.believed_topology(v));
+    }
+    tables_[static_cast<std::size_t>(v)] =
+        RouteTable(believed[g], v, topology_->gateways(), config_.routing);
   }
 }
 

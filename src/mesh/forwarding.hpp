@@ -121,7 +121,9 @@ class MeshNetwork {
  public:
   /// `topology` and `pool` must outlive the network. Construction runs the
   /// initial link-state convergence over the full topology and builds
-  /// every node's route table from its own converged database.
+  /// every node's route table from its own converged database. Throws
+  /// std::invalid_argument (in every build type) on a null `pool`, pool
+  /// headroom below MeshHeader::kWireBytes, or a ttl outside 1..255.
   MeshNetwork(const MeshTopology* topology, ForwardingConfig config,
               net::PacketPool* pool);
 

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/mesh/topology.hpp"
@@ -30,7 +31,10 @@ namespace mmtag::mesh {
 struct Lsa {
   std::uint32_t seq = 0;     ///< Freshness; higher wins.
   bool known = false;        ///< Database holds an entry for this origin.
-  std::vector<int> neighbors;  ///< Ascending reader ids.
+  /// Ascending reader ids; null while unknown. Immutable and shared by
+  /// every database holding this advertisement, so flooding copies a
+  /// pointer, never the list.
+  std::shared_ptr<const std::vector<int>> neighbors;
 };
 
 class LinkStateProtocol {
@@ -53,14 +57,9 @@ class LinkStateProtocol {
     return lsa_transmissions_;
   }
 
-  /// `node`'s view of `origin`'s advertisement.
-  [[nodiscard]] const Lsa& database(int node, int origin) const {
-    return db_[static_cast<std::size_t>(node)]
-              [static_cast<std::size_t>(origin)];
-  }
-
   /// True when `a` and `b` hold identical databases — converged peers in
-  /// one component must agree (the regression the convergence tests pin).
+  /// one component must agree (the regression the convergence tests pin),
+  /// and agreeing nodes believe the same topology.
   [[nodiscard]] bool databases_agree(int a, int b) const;
 
   /// The topology as `node` believes it: adjacency restricted to edges
@@ -71,9 +70,18 @@ class LinkStateProtocol {
       int node) const;
 
  private:
+  /// Row of `node`'s database: entry `origin` is its copy of origin's LSA.
+  [[nodiscard]] const Lsa* row(int node) const {
+    return db_.data() + static_cast<std::size_t>(node) * topology_->nodes();
+  }
+
   const MeshTopology* topology_;
-  /// db_[node][origin]: node's copy of origin's LSA.
-  std::vector<std::vector<Lsa>> db_;
+  /// db_[node * nodes + origin]: node's copy of origin's LSA.
+  std::vector<Lsa> db_;
+  /// One flooding round's adoptions, same indexing as db_ (known only
+  /// where staged), committed to db_ when the round ends.
+  std::vector<Lsa> staged_;
+  std::vector<std::size_t> staged_at_;
   std::vector<std::uint8_t> was_live_;
   int epoch_ = 0;
   std::uint64_t lsa_transmissions_ = 0;

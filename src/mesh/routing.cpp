@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <set>
-#include <utility>
 
 namespace mmtag::mesh {
 
@@ -18,109 +17,110 @@ bool route_less(const Route& a, const Route& b) {
   return a.hops < b.hops;  // Lexicographic: lowest reader id wins.
 }
 
-ShortestPaths dijkstra(const Adjacency& adj, int src) {
+/// Settle nodes out of `src` in (cost, id) order until `dst` is settled;
+/// dst < 0 settles every reachable node. Returns whether dst settled.
+///
+/// Stopping at dst changes no route: dst and every node on its parent
+/// chain are settled by then, and a settled node's parent is final — a
+/// strict improvement needs a cheaper path than the settled cost (costs
+/// are non-negative), and the equal-cost tie rule only touches unsettled
+/// nodes.
+bool PathSearch::run(const Adjacency& adj, int src, int dst) {
   const std::size_t n = adj.size();
-  ShortestPaths out;
-  out.cost.assign(n, -1.0);
-  out.parent.assign(n, -1);
   assert(src >= 0 && static_cast<std::size_t>(src) < n);
-
+  best_.assign(n, std::numeric_limits<double>::infinity());
+  parent_.assign(n, -1);
+  done_.assign(n, 0);
+  heap_.clear();
   // (cost, node) min-heap; the node id in the key makes pop order — and
   // with the strict-improvement + lowest-parent rules below, the whole
   // tree — deterministic.
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  std::vector<double> best(n, std::numeric_limits<double>::infinity());
-  best[static_cast<std::size_t>(src)] = 0.0;
-  heap.emplace(0.0, src);
-  std::vector<std::uint8_t> done(n, 0);
-
-  while (!heap.empty()) {
-    const auto [cost, node] = heap.top();
-    heap.pop();
+  best_[static_cast<std::size_t>(src)] = 0.0;
+  heap_.emplace_back(0.0, src);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [cost, node] = heap_.back();
+    heap_.pop_back();
     const auto u = static_cast<std::size_t>(node);
-    if (done[u] != 0) continue;
-    done[u] = 1;
-    out.cost[u] = cost;
+    if (done_[u] != 0) continue;
+    done_[u] = 1;
+    if (node == dst) return true;
     for (const MeshLink& link : adj[u]) {
       const auto v = static_cast<std::size_t>(link.to);
+      if (banned_[v] != 0) continue;
+      if (node == src && std::find(banned_next_.begin(), banned_next_.end(),
+                                   link.to) != banned_next_.end()) {
+        continue;
+      }
       const double via = cost + link.cost;
-      if (via < best[v]) {
-        best[v] = via;
-        out.parent[v] = node;
-        heap.emplace(via, link.to);
-      } else if (via == best[v] && done[v] == 0 && node < out.parent[v]) {
+      if (via < best_[v]) {
+        best_[v] = via;
+        parent_[v] = node;
+        heap_.emplace_back(via, link.to);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      } else if (via == best_[v] && done_[v] == 0 && node < parent_[v]) {
         // Equal-cost predecessor tie: lowest reader id wins.
-        out.parent[v] = node;
+        parent_[v] = node;
       }
     }
   }
+  return false;
+}
+
+/// Append the last run()'s path to the settled `dst`, without its source.
+void PathSearch::append_path(int dst, std::vector<int>& hops) const {
+  const std::size_t first = hops.size();
+  for (int at = dst; parent_[static_cast<std::size_t>(at)] != -1;
+       at = parent_[static_cast<std::size_t>(at)]) {
+    hops.push_back(at);
+  }
+  std::reverse(hops.begin() + static_cast<std::ptrdiff_t>(first), hops.end());
+}
+
+ShortestPaths dijkstra(const Adjacency& adj, int src) {
+  const std::size_t n = adj.size();
+  PathSearch search;
+  search.banned_.assign(n, 0);
+  (void)search.run(adj, src, -1);
+  ShortestPaths out;
+  out.cost.assign(n, -1.0);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (search.done_[v] != 0) out.cost[v] = search.best_[v];
+  }
+  out.parent = std::move(search.parent_);
   return out;
 }
 
-Route shortest_path(const Adjacency& adj, int src, int dst) {
+Route PathSearch::shortest_path(const Adjacency& adj, int src, int dst) {
   Route route;
-  if (src == dst) {
-    route.hops.push_back(src);
-    return route;
-  }
-  const ShortestPaths sp = dijkstra(adj, src);
-  const auto d = static_cast<std::size_t>(dst);
-  if (d >= sp.cost.size() || sp.cost[d] < 0.0) return route;  // Unreachable.
-  route.cost = sp.cost[d];
-  for (int at = dst; at != -1; at = sp.parent[static_cast<std::size_t>(at)]) {
-    route.hops.push_back(at);
-  }
-  std::reverse(route.hops.begin(), route.hops.end());
-  assert(route.hops.front() == src);
+  route.hops.push_back(src);
+  if (src == dst) return route;
+  if (dst < 0 || static_cast<std::size_t>(dst) >= adj.size()) return {};
+  banned_.assign(adj.size(), 0);
+  banned_next_.clear();
+  if (!run(adj, src, dst)) return {};  // Unreachable.
+  append_path(dst, route.hops);
+  route.cost = best_[static_cast<std::size_t>(dst)];
   return route;
 }
 
 namespace {
 
-/// Shortest path over `adj` with `banned_nodes` removed and the directed
-/// edges in `banned_edges` masked — the Yen spur computation.
-Route masked_shortest_path(
-    const Adjacency& adj, int src, int dst,
-    const std::vector<std::uint8_t>& banned_nodes,
-    const std::set<std::pair<int, int>>& banned_edges) {
-  Adjacency masked(adj.size());
-  for (std::size_t u = 0; u < adj.size(); ++u) {
-    if (banned_nodes[u] != 0) continue;
-    for (const MeshLink& link : adj[u]) {
-      if (banned_nodes[static_cast<std::size_t>(link.to)] != 0) continue;
-      if (banned_edges.count({static_cast<int>(u), link.to}) != 0) continue;
-      masked[u].push_back(link);
-    }
+double link_cost(const Adjacency& adj, int from, int to) {
+  for (const MeshLink& link : adj[static_cast<std::size_t>(from)]) {
+    if (link.to == to) return link.cost;
   }
-  return shortest_path(masked, src, dst);
-}
-
-double path_prefix_cost(const Adjacency& adj, const std::vector<int>& hops,
-                        std::size_t upto) {
-  double cost = 0.0;
-  for (std::size_t i = 0; i + 1 <= upto; ++i) {
-    const auto u = static_cast<std::size_t>(hops[i]);
-    double edge = -1.0;
-    for (const MeshLink& link : adj[u]) {
-      if (link.to == hops[i + 1]) {
-        edge = link.cost;
-        break;
-      }
-    }
-    assert(edge >= 0.0);
-    cost += edge;
-  }
-  return cost;
+  assert(false && "route edge missing from the graph");
+  return -1.0;
 }
 
 }  // namespace
 
-std::vector<Route> k_shortest_paths(const Adjacency& adj, int src, int dst,
-                                    std::size_t k) {
+std::vector<Route> PathSearch::k_shortest_paths(const Adjacency& adj, int src,
+                                                int dst, std::size_t k) {
   std::vector<Route> result;
   if (k == 0 || src == dst) return result;
-  Route first = shortest_path(adj, src, dst);
+  Route first = shortest_path(adj, src, dst);  // Leaves banned_ all clear.
   if (!first.valid()) return result;
   result.push_back(std::move(first));
 
@@ -130,44 +130,38 @@ std::vector<Route> k_shortest_paths(const Adjacency& adj, int src, int dst,
   std::set<Route, decltype(cmp)> candidates(cmp);
 
   while (result.size() < k) {
-    const Route& prev = result.back();
+    const std::vector<int>& prev = result.back().hops;
     // Each hop of the previous best is a spur point: ban the edges every
     // accepted path with the same prefix took, ban the prefix nodes, and
-    // find the best deviation.
-    for (std::size_t spur = 0; spur + 1 < prev.hops.size(); ++spur) {
-      std::vector<int> prefix(prev.hops.begin(),
-                              prev.hops.begin() +
-                                  static_cast<std::ptrdiff_t>(spur + 1));
-      std::set<std::pair<int, int>> banned_edges;
+    // find the best deviation. The prefix cost sums its edges from the
+    // source, in path order.
+    double prefix_cost = 0.0;
+    for (std::size_t spur = 0; spur + 1 < prev.size(); ++spur) {
+      if (spur > 0) {
+        banned_[static_cast<std::size_t>(prev[spur - 1])] = 1;
+        prefix_cost += link_cost(adj, prev[spur - 1], prev[spur]);
+      }
+      const auto prefix_end = prev.begin() + static_cast<std::ptrdiff_t>(
+                                                 spur + 1);
+      banned_next_.clear();
       for (const Route& accepted : result) {
-        if (accepted.hops.size() > spur &&
-            std::equal(prefix.begin(), prefix.end(),
-                       accepted.hops.begin())) {
-          if (accepted.hops.size() > spur + 1) {
-            banned_edges.insert(
-                {accepted.hops[spur], accepted.hops[spur + 1]});
-          }
+        if (accepted.hops.size() > spur + 1 &&
+            std::equal(prev.begin(), prefix_end, accepted.hops.begin())) {
+          banned_next_.push_back(accepted.hops[spur + 1]);
         }
       }
-      std::vector<std::uint8_t> banned_nodes(adj.size(), 0);
-      for (std::size_t i = 0; i < spur; ++i) {
-        banned_nodes[static_cast<std::size_t>(prefix[i])] = 1;
-      }
-      const Route spur_route = masked_shortest_path(
-          adj, prev.hops[spur], dst, banned_nodes, banned_edges);
-      if (!spur_route.valid()) continue;
+      if (!run(adj, prev[spur], dst)) continue;
       Route total;
-      total.hops = prefix;
-      total.hops.insert(total.hops.end(), spur_route.hops.begin() + 1,
-                        spur_route.hops.end());
-      total.cost = path_prefix_cost(adj, prev.hops, spur) + spur_route.cost;
+      total.hops.assign(prev.begin(), prefix_end);
+      append_path(dst, total.hops);
+      total.cost = prefix_cost + best_[static_cast<std::size_t>(dst)];
       candidates.insert(std::move(total));
     }
+    for (const int node : prev) banned_[static_cast<std::size_t>(node)] = 0;
     // Pop the best candidate not already accepted.
     Route next;
     while (!candidates.empty()) {
-      Route top = *candidates.begin();
-      candidates.erase(candidates.begin());
+      Route top = std::move(candidates.extract(candidates.begin()).value());
       const bool seen =
           std::any_of(result.begin(), result.end(), [&](const Route& r) {
             return r.hops == top.hops;
@@ -187,6 +181,7 @@ RouteTable::RouteTable(const Adjacency& adj, int node,
                        const std::vector<int>& gateways,
                        const RoutingConfig& config)
     : gateways_(gateways) {
+  PathSearch search;
   routes_.reserve(gateways_.size());
   for (const int gw : gateways_) {
     if (gw == node) {
@@ -195,7 +190,8 @@ RouteTable::RouteTable(const Adjacency& adj, int node,
       self.hops = {node};
       routes_.push_back({std::move(self)});
     } else {
-      routes_.push_back(k_shortest_paths(adj, node, gw, config.k_paths));
+      routes_.push_back(search.k_shortest_paths(adj, node, gw,
+                                                config.k_paths));
     }
   }
   for (std::size_t i = 0; i < gateways_.size(); ++i) {

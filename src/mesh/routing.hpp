@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/mesh/topology.hpp"
@@ -45,16 +47,41 @@ struct ShortestPaths {
 };
 [[nodiscard]] ShortestPaths dijkstra(const Adjacency& adj, int src);
 
-/// The unique minimal route src -> dst under route_less, or an invalid
-/// Route when dst is unreachable. src == dst yields {hops: {src}, cost: 0}
-/// (valid() is false — there is nothing to forward).
-[[nodiscard]] Route shortest_path(const Adjacency& adj, int src, int dst);
+/// Point-to-point route searches over one set of scratch buffers: each
+/// search resizes them to the graph and reuses their storage, so the
+/// searches of a whole RouteTable build allocate only the routes. A
+/// search stops once `dst` is settled; the routes are the ones dijkstra()'s
+/// full tree gives (see run()).
+class PathSearch {
+ public:
+  /// The unique minimal route src -> dst under route_less, or an invalid
+  /// Route when dst is unreachable. src == dst yields {hops: {src},
+  /// cost: 0} (valid() is false — there is nothing to forward).
+  [[nodiscard]] Route shortest_path(const Adjacency& adj, int src, int dst);
 
-/// The K best loop-free routes src -> dst in route_less order (Yen).
-/// Fewer than K exist when the graph runs out of distinct loop-free paths.
-[[nodiscard]] std::vector<Route> k_shortest_paths(const Adjacency& adj,
-                                                  int src, int dst,
-                                                  std::size_t k);
+  /// The K best loop-free routes src -> dst in route_less order (Yen).
+  /// Fewer than K exist when the graph runs out of distinct loop-free
+  /// paths.
+  [[nodiscard]] std::vector<Route> k_shortest_paths(const Adjacency& adj,
+                                                    int src, int dst,
+                                                    std::size_t k);
+
+ private:
+  friend ShortestPaths dijkstra(const Adjacency& adj, int src);
+
+  bool run(const Adjacency& adj, int src, int dst);
+  void append_path(int dst, std::vector<int>& hops) const;
+
+  /// Yen's removed prefix: nodes with banned_[v] != 0 are never entered.
+  std::vector<std::uint8_t> banned_;
+  /// Yen's removed edges, which all leave the spur node: src -> x is
+  /// skipped for every x listed here.
+  std::vector<int> banned_next_;
+  std::vector<double> best_;
+  std::vector<int> parent_;
+  std::vector<std::uint8_t> done_;
+  std::vector<std::pair<double, int>> heap_;
+};
 
 struct RoutingConfig {
   /// Precomputed routes per (node, gateway): one primary plus k_paths-1

@@ -43,6 +43,16 @@ int default_thread_count() {
   return hw > 0 ? std::min(static_cast<int>(hw), kMaxThreads) : 1;
 }
 
+bool parse_thread_count(const char* text, int* threads) {
+  char* end = nullptr;
+  const long parsed = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || parsed < 0 || parsed > kMaxThreads) {
+    return false;
+  }
+  *threads = static_cast<int>(parsed);
+  return true;
+}
+
 ThreadPool::ThreadPool(int threads) {
   if (threads > kMaxThreads) {
     throw std::invalid_argument("ThreadPool: more than kMaxThreads threads");

@@ -43,6 +43,11 @@ inline constexpr int kMaxThreads = 1024;
 /// (at least 1, at most kMaxThreads).
 [[nodiscard]] int default_thread_count();
 
+/// Parse a `--threads` value: a decimal integer in [0, kMaxThreads], 0
+/// selecting default_thread_count(). False, with `*threads` untouched, on
+/// anything else — garbage, a negative count, or one ThreadPool refuses.
+[[nodiscard]] bool parse_thread_count(const char* text, int* threads);
+
 /// A fixed-size pool of std::thread workers executing index ranges.
 ///
 /// There is deliberately no work stealing and no futures: sweep items are

@@ -188,18 +188,6 @@ TEST(KernEquivalence, ElementwiseComplexMaps) {
         expect_ulp_close(scaled_s[i].imag(), scaled_a[i].imag(),
                          "scale_real.im", n);
       }
-
-      auto rotated_s = x;
-      auto rotated_a = x;
-      const Complexd coeff(0.6, -0.8);
-      scalar.scale_complex(rotated_s.data(), coeff, n);
-      accel.scale_complex(rotated_a.data(), coeff, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        expect_ulp_close(rotated_s[i].real(), rotated_a[i].real(),
-                         "scale_complex.re", n);
-        expect_ulp_close(rotated_s[i].imag(), rotated_a[i].imag(),
-                         "scale_complex.im", n);
-      }
     }
   }
 }

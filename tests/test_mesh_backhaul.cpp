@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "src/deploy/coordinator.hpp"
@@ -168,6 +169,24 @@ TEST(BackhaulSimulator, FingerprintIsThreadCountInvariant) {
   config.fleet.threads = sim::default_thread_count();
   const BackhaulReport hw = BackhaulSimulator(config).run();
   EXPECT_EQ(fingerprint(serial), fingerprint(hw));
+}
+
+TEST(BackhaulSimulator, PayloadBelowEightBytesIsRejected) {
+  BackhaulConfig config = small_backhaul();
+  config.payload_bytes = 7;
+  EXPECT_THROW(BackhaulSimulator{config}, std::invalid_argument);
+}
+
+TEST(BackhaulSimulator, EmptyPoolIsRejected) {
+  BackhaulConfig config = small_backhaul();
+  config.pool_packets = 0;
+  EXPECT_THROW(BackhaulSimulator{config}, std::invalid_argument);
+}
+
+TEST(BackhaulSimulator, NoFramesPerCellEpochIsRejected) {
+  BackhaulConfig config = small_backhaul();
+  config.max_frames_per_cell_epoch = 0;
+  EXPECT_THROW(BackhaulSimulator{config}, std::invalid_argument);
 }
 
 TEST(BackhaulSimulator, RepeatedRunsAreBitIdentical) {

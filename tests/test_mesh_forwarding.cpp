@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "src/mac/event_queue.hpp"
@@ -252,6 +253,36 @@ TEST(MeshForwarding, StatsFingerprintIsBitStable) {
   EXPECT_EQ(run_once(true), run_once(true));
   EXPECT_EQ(run_once(false), run_once(false));
   EXPECT_NE(run_once(true), run_once(false));
+}
+
+// Invalid construction is refused in every build type, not only under
+// assert: a null pool, headroom that cannot hold the header, a ttl the
+// one-byte wire field cannot carry.
+TEST(MeshNetworkConfig, NullPoolIsRejected) {
+  const MeshTopology topo = square_topology();
+  EXPECT_THROW((MeshNetwork{&topo, ForwardingConfig{}, nullptr}),
+               std::invalid_argument);
+}
+
+TEST(MeshNetworkConfig, HeadroomBelowTheHeaderIsRejected) {
+  const MeshTopology topo = square_topology();
+  net::PacketPool pool(4, 256, MeshHeader::kWireBytes - 1);
+  EXPECT_THROW((MeshNetwork{&topo, ForwardingConfig{}, &pool}),
+               std::invalid_argument);
+}
+
+TEST(MeshNetworkConfig, TtlOutsideOneTo255IsRejected) {
+  const MeshTopology topo = square_topology();
+  net::PacketPool pool(4, 256, 32);
+  for (const int ttl : {0, -1, 256}) {
+    ForwardingConfig config;
+    config.ttl = ttl;
+    EXPECT_THROW((MeshNetwork{&topo, config, &pool}), std::invalid_argument)
+        << "ttl " << ttl;
+  }
+  ForwardingConfig edge;
+  edge.ttl = 255;
+  EXPECT_NO_THROW((MeshNetwork{&topo, edge, &pool}));
 }
 
 }  // namespace

@@ -61,6 +61,21 @@ TEST(ThreadPool, MoreThanMaxThreadsIsRejectedBeforeAnyWorkerStarts) {
   EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), std::invalid_argument);
 }
 
+TEST(ParseThreadCount, AcceptsZeroThroughTheCapAndNothingElse) {
+  int threads = 7;
+  EXPECT_TRUE(parse_thread_count("0", &threads));
+  EXPECT_EQ(threads, 0);
+  EXPECT_TRUE(parse_thread_count(std::to_string(kMaxThreads).c_str(),
+                                 &threads));
+  EXPECT_EQ(threads, kMaxThreads);
+  const std::string above = std::to_string(kMaxThreads + 1);
+  for (const char* bad : {above.c_str(), "100000", "-1", "", "4x", "four"}) {
+    threads = 7;
+    EXPECT_FALSE(parse_thread_count(bad, &threads)) << bad;
+    EXPECT_EQ(threads, 7) << bad;  // Untouched on rejection.
+  }
+}
+
 TEST(DefaultThreadCount, IsPositive) {
   EXPECT_GE(default_thread_count(), 1);
 }
